@@ -21,7 +21,7 @@ import sys
 from typing import Iterator, Optional
 
 from .composer import _compose_with_failures, parse_trees
-from .errors import ParseError, PolysemError
+from .errors import ParseError, PolysemError, UnknownWord
 from .hol import SEXPR, classify, extract_formula, print_formula
 from .kernel import (
     EMPTY_CONTEXT,
@@ -211,7 +211,11 @@ def cmd_compose(args) -> int:
         return _io_error(str(e))
     report = _Report("compose", args.json)
     for k, tree in enumerate(trees, start=1):
-        analyses, failures = _compose_with_failures(tree, lex, args.limit)
+        try:
+            analyses, failures = _compose_with_failures(tree, lex, args.limit)
+            diag = None
+        except UnknownWord as e:
+            analyses, diag = [], str(e)
         item = {"tree": k, "ok": bool(analyses), "analyses": []}
         lines = [f"tree {k}: {len(analyses)} analysis(es)"]
         for i, a in enumerate(analyses, start=1):
@@ -237,8 +241,9 @@ def cmd_compose(args) -> int:
                     lines.append("      formula: (not of type t)")
             item["analyses"].append(entry)
         if not analyses:
-            deepest = max(failures, key=lambda f: len(f.path)) if failures else None
-            diag = deepest.describe() if deepest else "no candidates"
+            if diag is None:
+                deepest = max(failures, key=lambda f: len(f.path)) if failures else None
+                diag = deepest.describe() if deepest else "no candidates"
             item["diagnostic"] = diag
             lines.append(f"  diagnostic: {diag}")
         report.add(item, lines)

@@ -10,6 +10,7 @@ find_coercion can search greedily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import BrokenChain, IncoherentGraph
@@ -49,19 +50,22 @@ class BaseCoercion:
         return Const(self.name, self.arrow())
 
 
+Path = tuple[BaseCoercion, ...]
+
+
 @dataclass(frozen=True)
 class PathConflict:
     source: Sort
     target: Sort
-    first: tuple[BaseCoercion, ...]
-    second: tuple[BaseCoercion, ...]
+    first: Path
+    second: Path
 
 
 @dataclass(frozen=True)
 class CoherenceReport:
     ok: bool
     conflicts: tuple[PathConflict, ...] = ()
-    cycles: tuple[tuple[BaseCoercion, ...], ...] = ()
+    cycles: tuple[Path, ...] = ()
 
     def describe(self) -> str:
         parts = []
@@ -77,86 +81,123 @@ class CoherenceReport:
 
 @dataclass(frozen=True)
 class CoercionGraph:
+    """Declared coercions.  Adjacency lists, the path table and the coherence
+    report are computed on first use and cached on the (immutable) graph."""
+
     edges: tuple[BaseCoercion, ...] = ()
 
-    @property
+    @cached_property
     def nodes(self) -> frozenset[Sort]:
-        out = set()
+        return frozenset(self._adjacency[0]) | frozenset(self._adjacency[1])
+
+    @cached_property
+    def _adjacency(self):
+        """Outgoing and incoming edges per sort, in declaration order, and
+        each edge's declaration rank."""
+        out: dict[Sort, list[BaseCoercion]] = {}
+        inc: dict[Sort, list[BaseCoercion]] = {}
         for e in self.edges:
-            out.add(e.source)
-            out.add(e.target)
-        return frozenset(out)
+            out.setdefault(e.source, []).append(e)
+            inc.setdefault(e.target, []).append(e)
+        return out, inc, {e: i for i, e in enumerate(self.edges)}
 
     def outgoing(self, sort: Sort) -> list[BaseCoercion]:
-        return [e for e in self.edges if e.source == sort]
+        return self._adjacency[0].get(sort, [])
 
     def incoming(self, sort: Sort) -> list[BaseCoercion]:
-        return [e for e in self.edges if e.target == sort]
+        return self._adjacency[1].get(sort, [])
+
+    @cached_property
+    def _table(self):
+        """The path table (cycle, hops, multi), from one depth-first walk
+        over the sorts in name order, following edges in declaration order.
+
+        cycle is the first directed cycle met, as its edge sequence, or None.
+        When it is None, hops[s] maps each sort that s reaches by >= 1 edge
+        to the first edge of the first such path in DFS edge order, and
+        multi[s] is the set of sorts s reaches by two or more paths.  A
+        sort's entries are built as the walk leaves it, from its successors'
+        entries: the first out-edge reaching t starts the first path to t,
+        and t has two paths if two out-edges reach it or one successor has
+        two.  O(V·E) in all.
+        """
+        GREY, BLACK = 1, 2
+        color: dict[Sort, int] = {}
+        hops: dict[Sort, dict[Sort, BaseCoercion]] = {}
+        multi: dict[Sort, set[Sort]] = {}
+        for root in sorted(self.nodes, key=str):
+            if root in color:
+                continue
+            color[root] = GREY
+            stack = [(root, None, iter(self.outgoing(root)))]  # (sort, edge in, edges left)
+            while stack:
+                node, _, edges = stack[-1]
+                for edge in edges:
+                    mark = color.get(edge.target)
+                    if mark == GREY:
+                        start = next(i for i, entry in enumerate(stack) if entry[0] == edge.target)
+                        return tuple(e for _, e, _ in stack[start + 1:]) + (edge,), {}, {}
+                    if mark is None:
+                        color[edge.target] = GREY
+                        stack.append((edge.target, edge, iter(self.outgoing(edge.target))))
+                        break
+                else:
+                    stack.pop()
+                    color[node] = BLACK
+                    hop: dict[Sort, BaseCoercion] = {}
+                    many: set[Sort] = set()
+                    for e in self.outgoing(node):
+                        many |= multi[e.target]
+                        for t in (e.target, *hops[e.target]):
+                            if t in hop:
+                                many.add(t)
+                            else:
+                                hop[t] = e
+                    hops[node], multi[node] = hop, many
+        return None, hops, multi
+
+    @cached_property
+    def coherence(self) -> CoherenceReport:
+        """check_coherence's report, computed once per graph."""
+        return check_coherence(self)
+
+    def path(self, source: Sort, target: Sort) -> Optional[Path]:
+        """The first path source ~> target of >= 1 edge in DFS edge order,
+        or None.  Read off the path table, so None on a cyclic graph."""
+        hops = self._table[1]
+        out = []
+        while source != target:
+            edge = hops.get(source, {}).get(target)
+            if edge is None:
+                return None
+            out.append(edge)
+            source = edge.target
+        return tuple(out) or None
 
 
-def _find_cycle(g: CoercionGraph) -> Optional[tuple[BaseCoercion, ...]]:
-    """First directed cycle found, as its edge sequence, or None."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[Sort, int] = {n: WHITE for n in g.nodes}
-    trail: list[BaseCoercion] = []
-
-    def visit(node: Sort) -> Optional[tuple[BaseCoercion, ...]]:
-        color[node] = GREY
-        for edge in g.outgoing(node):
-            if color[edge.target] == GREY:
-                start = next(i for i, e in enumerate(trail) if e.source == edge.target)
-                return tuple(trail[start:]) + (edge,)
-            if color[edge.target] == WHITE:
-                trail.append(edge)
-                found = visit(edge.target)
-                if found is not None:
-                    return found
-                trail.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(g.nodes, key=str):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found is not None:
-                return found
-    return None
-
-
-def _paths(g: CoercionGraph, source: Sort, target: Sort, limit: int) -> list[tuple[BaseCoercion, ...]]:
-    """Up to `limit` directed edge-paths from source to target (acyclic g)."""
-    out: list[tuple[BaseCoercion, ...]] = []
-
-    def walk(node: Sort, acc: tuple[BaseCoercion, ...]):
-        if len(out) >= limit:
-            return
-        if node == target and acc:
-            out.append(acc)
-            if len(out) >= limit:
-                return
-        for edge in g.outgoing(node):
-            walk(edge.target, acc + (edge,))
-
-    walk(source, ())
-    return out
+def _witnesses(g: CoercionGraph, source: Sort, target: Sort) -> tuple[Path, Path]:
+    """The first two paths source ~> target in DFS edge order.  The second
+    leaves the first as late as possible, by the next out-edge that still
+    reaches `target`, and goes on by the first path from there."""
+    first, hops = g.path(source, target), g._table[1]
+    for i in reversed(range(len(first))):
+        outs = g.outgoing(first[i].source)
+        for e in outs[outs.index(first[i]) + 1:]:
+            if e.target == target or target in hops[e.target]:
+                return first, first[:i] + (e,) + (g.path(e.target, target) or ())
+    raise ValueError(f"one path {source}~>{target}")
 
 
 def check_coherence(g: CoercionGraph) -> CoherenceReport:
     """ok iff the graph is acyclic and has at most one directed path between
-    every ordered pair of sorts.  Violations list both witness paths."""
-    cycle = _find_cycle(g)
+    every ordered pair of sorts.  Violations list both witness paths: the
+    first two in DFS edge order."""
+    cycle, _, multi = g._table
     if cycle is not None:
         return CoherenceReport(ok=False, cycles=(cycle,))
-    conflicts = []
-    nodes = sorted(g.nodes, key=str)
-    for a in nodes:
-        for b in nodes:
-            if a == b:
-                continue
-            paths = _paths(g, a, b, limit=2)
-            if len(paths) > 1:
-                conflicts.append(PathConflict(a, b, paths[0], paths[1]))
-    return CoherenceReport(ok=not conflicts, conflicts=tuple(conflicts))
+    conflicts = tuple(PathConflict(a, b, *_witnesses(g, a, b))
+                      for a in sorted(g.nodes, key=str) for b in sorted(multi[a], key=str))
+    return CoherenceReport(ok=not conflicts, conflicts=conflicts)
 
 
 def compose_path(edges: list[BaseCoercion]) -> Term:
@@ -179,14 +220,6 @@ def compose_path(edges: list[BaseCoercion]) -> Term:
     return Lam("x", Base(edges[0].source), body)
 
 
-def _identity(ty: Type) -> Term:
-    return Lam("x", ty, Var("x"))
-
-
-def _is_identity(term: Term) -> bool:
-    return isinstance(term, Lam) and isinstance(term.body, Var) and term.body.name == term.binder
-
-
 def coerce_app(co: Term, arg: Term) -> Term:
     """Apply a coercion term to an argument, contracting the redex when the
     coercion is a lambda so that inserted coercions stay beta-normal."""
@@ -195,111 +228,75 @@ def coerce_app(co: Term, arg: Term) -> Term:
     return App(co, arg)
 
 
-def find_coercion(g: CoercionGraph, sig: Signature, source: Type, target: Type,
-                  _checked: bool = False) -> Optional[Term]:
+def find_coercion(g: CoercionGraph, sig: Signature, source: Type, target: Type) -> Optional[Term]:
     """The unique coercion term of type source -> target, or None.
 
     Built from reflexivity (identity), composition of base edges, and arrow
     lifting (contravariant domain, covariant codomain).  No lifting under
     universal quantifiers.  Requires a coherent graph.
     """
-    if not _checked and not check_coherence(g).ok:
+    if not g.coherence.ok:
         raise IncoherentGraph("find_coercion requires a coherent graph")
     return _find(g, source, target)
 
 
 def _find(g: CoercionGraph, source: Type, target: Type) -> Optional[Term]:
     if source == target:
-        return _identity(source)
+        return Lam("x", source, Var("x"))
     if isinstance(source, Base) and isinstance(target, Base):
         if source.sort.kind != "entity" or target.sort.kind != "entity":
             return None
-        paths = _paths(g, source.sort, target.sort, limit=1)
-        if not paths:
-            return None
-        return compose_path(list(paths[0]))
+        path = g.path(source.sort, target.sort)
+        return None if path is None else compose_path(path)
     if isinstance(source, Arrow) and isinstance(target, Arrow):
-        # from c: A'->A and d: B->B' build lam f lam x. d (f (c x))
         c = _find(g, target.domain, source.domain)
         d = _find(g, source.codomain, target.codomain)
         if c is None or d is None:
             return None
-        f = "f"
-        x = fresh_name("x", free_vars(c) | free_vars(d) | {f})
-        body = coerce_app(d, App(Var(f), coerce_app(c, Var(x))))
-        return Lam(f, source, Lam(x, target.domain, body))
+        return _lift(source, target.domain, c, d)
     return None
+
+
+def _lift(ty: Type, new_dom: Type, c: Optional[Term], d: Optional[Term]) -> Term:
+    """The arrow lift lam f:ty. lam x:new_dom. d (f (c x)) of c: new_dom -> A
+    and d: B -> B' for ty = A -> B; a missing c or d is the identity."""
+    x = fresh_name("x", {"f"}.union(*(free_vars(co) for co in (c, d) if co is not None)))
+    body = App(Var("f"), Var(x) if c is None else coerce_app(c, Var(x)))
+    return Lam("f", ty, Lam(x, new_dom, body if d is None else coerce_app(d, body)))
 
 
 # ---------------------------------------------------------------------------
 # Enumeration of coercion targets/sources (used by the composer's search)
 
 
-def sort_targets(g: CoercionGraph, sort: Sort) -> list[tuple[Term, Type]]:
-    """All (coercion term, target type) reachable from `sort` by >= 1 edge,
-    ordered by path length then edge declaration order."""
-    found: list[tuple[tuple[int, tuple[int, ...]], Term, Type]] = []
-    order = {e: i for i, e in enumerate(g.edges)}
-
-    def walk(node: Sort, acc: list[BaseCoercion]):
-        for edge in g.outgoing(node):
-            path = acc + [edge]
-            key = (len(path), tuple(order[e] for e in path))
-            found.append((key, compose_path(path), Base(edge.target)))
-            walk(edge.target, path)
-
-    walk(sort, [])
-    found.sort(key=lambda item: item[0])
-    return [(term, ty) for _, term, ty in found]
-
-
-def sort_sources(g: CoercionGraph, sort: Sort) -> list[tuple[Term, Type]]:
-    """All (coercion term, source type) that coerce INTO `sort` by >= 1 edge."""
-    found: list[tuple[tuple[int, tuple[int, ...]], Term, Type]] = []
-    order = {e: i for i, e in enumerate(g.edges)}
-
-    def walk(node: Sort, acc: list[BaseCoercion]):
-        for edge in g.incoming(node):
-            path = [edge] + acc
-            key = (len(path), tuple(order[e] for e in path))
-            found.append((key, compose_path(path), Base(edge.source)))
-            walk(edge.source, path)
-
-    walk(sort, [])
-    found.sort(key=lambda item: item[0])
-    return [(term, ty) for _, term, ty in found]
+def sort_coercions(g: CoercionGraph, sort: Sort, into: bool = False) -> list[tuple[Term, Type]]:
+    """(coercion term, other end) for every sort that `sort` reaches by >= 1
+    edge or, with `into`, that reaches `sort`; ordered by path length, then
+    by the declaration order of the path's edges."""
+    hops = g._table[1]
+    if into:
+        paths = [g.path(s, sort) for s, hop in hops.items() if sort in hop]
+    else:
+        paths = [g.path(sort, t) for t in hops.get(sort, ())]
+    rank = g._adjacency[2]
+    paths.sort(key=lambda p: (len(p), [rank[e] for e in p]))
+    return [(compose_path(p), Base(p[0].source if into else p[-1].target)) for p in paths]
 
 
 def coercion_targets(g: CoercionGraph, ty: Type) -> list[tuple[Term, Type]]:
     """Non-identity structural coercions out of `ty`: base-sort paths, and
-    arrow lifts combining domain sources with codomain targets."""
+    arrow lifts combining domain sources with codomain targets.  Only
+    base-sort sources are enumerated on the contravariant side."""
     match ty:
         case Base(sort) if sort.kind == "entity":
-            return sort_targets(g, sort)
+            return sort_coercions(g, sort)
         case Arrow(dom, cod):
-            dom_opts = [(None, dom)] + [(t, s) for t, s in sort_sources_for(g, dom)]
+            dom_opts = [(None, dom)]
+            if isinstance(dom, Base) and dom.sort.kind == "entity":
+                dom_opts += sort_coercions(g, dom.sort, into=True)
             cod_opts = [(None, cod)] + coercion_targets(g, cod)
-            out = []
-            for c, new_dom in dom_opts:
-                for d, new_cod in cod_opts:
-                    if c is None and d is None:
-                        continue
-                    f = "f"
-                    x = fresh_name("x", (free_vars(c) if c is not None else frozenset())
-                                   | (free_vars(d) if d is not None else frozenset()) | {f})
-                    inner = App(Var(f), Var(x)) if c is None else App(Var(f), coerce_app(c, Var(x)))
-                    body = inner if d is None else coerce_app(d, inner)
-                    out.append((Lam(f, ty, Lam(x, new_dom, body)), Arrow(new_dom, new_cod)))
-            return out
-        case _:
-            return []
-
-
-def sort_sources_for(g: CoercionGraph, ty: Type) -> list[tuple[Term, Type]]:
-    """Coercions into `ty` (contravariant side of arrow lifting); only
-    base-sort sources are enumerated."""
-    match ty:
-        case Base(sort) if sort.kind == "entity":
-            return sort_sources(g, sort)
+            return [(_lift(ty, new_dom, c, d), Arrow(new_dom, new_cod))
+                    for c, new_dom in dom_opts for d, new_cod in cod_opts
+                    if c is not None or d is not None]
         case _:
             return []

@@ -297,7 +297,7 @@ class _Search:
         if a == b:
             fills.append((Use(MAIN, None, "main"), Lam("x", a, Var("x"))))
         else:
-            co = find_coercion(self.graph, self.sig, a, b, _checked=True)
+            co = find_coercion(self.graph, self.sig, a, b)
             if co is not None:
                 label = f"graph:{print_type(a)}->{print_type(b)}"
                 fills.append((Use(label, FLEXIBLE, "graph"), co))

@@ -35,6 +35,7 @@ from .kernel import EMPTY_CONTEXT, expand_definitions, typecheck
 from .syntax import (
     PROP,
     Arrow,
+    Base,
     Forall,
     Signature,
     Sort,
@@ -130,12 +131,6 @@ def _closed_typed(term: Term, sig: Signature, word: str) -> Type:
     if free_tyvars(ty):
         raise TypeErrorInEntry(word, LexiconError(f"type {ty} of entry term is not closed"))
     return ty
-
-
-def _split_line(line: str) -> list[str]:
-    """Split a directive line into fields; the trailing TYPE/TERM field may
-    contain spaces, so splitting is directive-aware."""
-    return line.split()
 
 
 def load_lexicon(text: str) -> Lexicon:
@@ -240,7 +235,7 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
         except ParseError as e:
             fail(ParseError(f"in coercion {name}: {e}", lineno, 1))
             continue
-        if not (hasattr(src, "sort") and hasattr(dst, "sort")):
+        if not all(isinstance(end, Base) and end.sort.kind == "entity" for end in (src, dst)):
             fail(ParseError("coercion endpoints must be entity sorts", lineno, 1))
             continue
         if name in sig.constants or name in new_consts:

@@ -76,6 +76,15 @@ def test_lexicon_check_diamond_witness_paths(capsys, tmp_path):
     assert "bp" in out and "po" in out and "bi" in out and "io" in out
 
 
+def test_lexicon_check_rejects_coercion_into_t(capsys, tmp_path):
+    # a coercion into the proposition sort would turn entities into propositions
+    bad = tmp_path / "into_t.lex"
+    bad.write_text("sort e:a\ncoercion c : e:a -> t\n")
+    code, out = _run(capsys, ["lexicon", "check", str(bad)])
+    assert code == 1
+    assert "coercion endpoints must be entity sorts" in out
+
+
 # ---------------------------------------------------------------------------
 # compose
 
@@ -107,6 +116,18 @@ def test_compose_deterministic_output(capsys, lex_path, trees_path):
 
 def test_compose_missing_trees(capsys, lex_path):
     assert main(["compose", lex_path, "/nonexistent/trees"]) == 2
+
+
+def test_compose_unknown_word(capsys, lex_path, tmp_path):
+    trees = tmp_path / "trees.txt"
+    trees.write_text("(NODE (LEAF barks) (LEAF Rex))\n(NODE (LEAF barks) (LEAF unicorn))\n")
+    code, out = _run(capsys, ["compose", lex_path, str(trees)])
+    assert code == 1
+    assert out.splitlines()[-2:] == ["tree 2: 0 analysis(es)",
+                                     "  diagnostic: word 'unicorn' is not in the lexicon"]
+    code, out = _run(capsys, ["compose", lex_path, str(trees), "--json"])
+    assert code == 1
+    assert json.loads(out)["items"][1]["diagnostic"] == "word 'unicorn' is not in the lexicon"
 
 
 # ---------------------------------------------------------------------------
