@@ -21,7 +21,7 @@ import sys
 from typing import Iterator, Optional
 
 from .composer import _compose_with_failures, parse_trees
-from .errors import ParseError, PolysemError, UnknownWord
+from .errors import IllFormedType, ParseError, PolysemError, UnknownWord
 from .hol import SEXPR, classify, extract_formula, print_formula
 from .kernel import (
     EMPTY_CONTEXT,
@@ -212,9 +212,9 @@ def cmd_compose(args) -> int:
     report = _Report("compose", args.json)
     for k, tree in enumerate(trees, start=1):
         try:
-            analyses, failures = _compose_with_failures(tree, lex, args.limit)
-            diag = None
-        except UnknownWord as e:
+            analyses, diagnosis = _compose_with_failures(tree, lex, args.limit)
+            diag = diagnosis.describe() or "no candidates"
+        except (UnknownWord, IllFormedType) as e:
             analyses, diag = [], str(e)
         item = {"tree": k, "ok": bool(analyses), "analyses": []}
         lines = [f"tree {k}: {len(analyses)} analysis(es)"]
@@ -241,9 +241,6 @@ def cmd_compose(args) -> int:
                     lines.append("      formula: (not of type t)")
             item["analyses"].append(entry)
         if not analyses:
-            if diag is None:
-                deepest = max(failures, key=lambda f: len(f.path)) if failures else None
-                diag = deepest.describe() if deepest else "no candidates"
             item["diagnostic"] = diag
             lines.append(f"  diagnostic: {diag}")
         report.add(item, lines)
@@ -314,6 +311,16 @@ def cmd_search_false(args) -> int:
 # Argument parsing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polysem",
@@ -331,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp_p = sub.add_parser("compose", help="compose parse trees")
     comp_p.add_argument("lexicon")
     comp_p.add_argument("trees")
-    comp_p.add_argument("--limit", type=int, default=16)
+    comp_p.add_argument("--limit", type=_positive_int, default=16)
     comp_p.add_argument("--show-term", action="store_true")
     comp_p.add_argument("--show-formula", action="store_true")
     comp_p.add_argument("--profile", action="store_true")

@@ -23,17 +23,17 @@ same occurrence is allowed in that analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .coercion import coerce_app, coercion_targets, find_coercion
-from .errors import ParseError
+from .errors import IllFormedType, ParseError
 from .kernel import (
     match_type,
     normalize,
     subst_type,
     typecheck,
 )
-from .lexicon import FLEXIBLE, RIGID, Lexicon, TransferTerm
+from .lexicon import FLEXIBLE, RIGID, Lexicon
 from .syntax import (
     App,
     Arrow,
@@ -46,8 +46,7 @@ from .syntax import (
     Type,
     Var,
     canon_term,
-    free_tyvars,
-    free_tyvars_in_term,
+    check_wf_type,
     fresh_name,
     parse_sexpr,
     print_type,
@@ -160,18 +159,22 @@ class RigidityViolation:
     occurrence: Occurrence
 
 
+def _licit(uses: tuple[Use, ...]) -> bool:
+    """Only the plain main reading, exactly one rigid label, or any mix of
+    flexible adaptations with the main reading."""
+    return all(u.rigidity != RIGID for u in uses) or len({u.label for u in uses}) == 1
+
+
 def check_rigidity(used: UsageMap):
-    """None when every occurrence's adaptation set is licit: only the plain
-    main reading, exactly one rigid label, or any mix of flexible
-    adaptations with the main reading."""
+    """None when every occurrence's adaptation set is licit."""
     for occ, uses in used.items():
-        rigid_labels = {u.label for u in uses if u.rigidity == RIGID}
-        if not rigid_labels:
-            continue
-        labels = {u.label for u in uses}
-        if len(rigid_labels) > 1 or labels != rigid_labels:
+        if not _licit(uses):
             return RigidityViolation(occ)
     return None
+
+
+def _labels(used) -> dict[str, tuple[str, ...]]:
+    return {str(occ): tuple(u.label for u in uses) for occ, uses in used}
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +190,7 @@ class Analysis:
     inserted_coercions: tuple[tuple[Occurrence, Term], ...]
 
     def labels(self) -> dict[str, tuple[str, ...]]:
-        return {str(occ): tuple(u.label for u in uses)
-                for occ, uses in self.used_transfers.items()}
+        return _labels(self.used_transfers.items())
 
 
 @dataclass(frozen=True)
@@ -230,34 +232,30 @@ class DiagnoseReport:
 
 # ---------------------------------------------------------------------------
 # The search
+#
+# Every candidate term is closed: lexicon terms are typechecked in the empty
+# context when the lexicon loads, TY annotations are checked in the empty
+# type-variable context below, and composition re-abstracts every residual
+# binder.  So no term is walked for its free type variables.
+#
+# An occurrence is adapted only at its parent node, so a candidate records
+# its uses as (occurrence, uses) pairs, one per adapted occurrence, and only
+# the argument occurrence of the current node needs a rigidity check.
 
 
 @dataclass
 class _Cand:
     term: Term
     ty: Type
-    uses: UsageMap
+    uses: tuple[tuple[Occurrence, tuple[Use, ...]], ...]
     coercions: tuple[tuple[Occurrence, Term], ...]
     head: Optional[Occurrence]  # the leaf occurrence when the subtree is one word
 
 
 class _Adaptation(NamedTuple):
     use: Optional[Use]  # None for the unadapted main reading of a phrase
-    adapted_type: Type
     wrapper: Optional[Term]  # coercion/transfer term, None for identity
-
-
-def _merge_uses(left: UsageMap, right: UsageMap) -> UsageMap:
-    out = dict(left)
-    for occ, uses in right.items():
-        out[occ] = out.get(occ, ()) + uses
-    return out
-
-
-def _add_use(uses: UsageMap, occ: Occurrence, use: Use) -> UsageMap:
-    out = dict(uses)
-    out[occ] = out.get(occ, ()) + (use,)
-    return out
+    adapted_type: Type
 
 
 class _Search:
@@ -267,27 +265,27 @@ class _Search:
         self.graph = lex.coercions
         self.failures: list[Failure] = []
 
-    # -- adaptations of an argument candidate ------------------------------
+    def transfers(self, cand: _Cand, domain: Type) -> Iterator[tuple[Use, Term, Type]]:
+        """(use, term, codomain) for each transfer of the candidate's word
+        out of `domain`, flexible before rigid."""
+        if cand.head is None:
+            return
+        transfers = self.lex.entries[cand.head.word].transfers
+        for rigidity in (FLEXIBLE, RIGID):
+            for tr in transfers:
+                if (tr.rigidity == rigidity and isinstance(tr.ty, Arrow)
+                        and tr.ty.domain == domain):
+                    yield Use(tr.label, rigidity, "transfer"), tr.term, tr.ty.codomain
 
     def arg_adaptations(self, arg: _Cand) -> list[_Adaptation]:
         # plain consumption is not an adaptation and records nothing;
         # the identity only counts as a MAIN use when it fills a view slot
-        out = [_Adaptation(None, arg.ty, None)]
+        out = [_Adaptation(None, None, arg.ty)]
         for co, target in coercion_targets(self.graph, arg.ty):
             label = f"graph:{print_type(arg.ty)}->{print_type(target)}"
-            out.append(_Adaptation(Use(label, FLEXIBLE, "graph"), target, co))
-        if arg.head is not None and arg.head.word is not None:
-            for tr in self._transfers_ordered(arg.head.word):
-                tr_ty = typecheck(tr.term, self.sig)
-                if isinstance(tr_ty, Arrow) and tr_ty.domain == arg.ty:
-                    out.append(_Adaptation(Use(tr.label, tr.rigidity, "transfer"),
-                                           tr_ty.codomain, tr.term))
+            out.append(_Adaptation(Use(label, FLEXIBLE, "graph"), co, target))
+        out.extend(_Adaptation(*tr) for tr in self.transfers(arg, arg.ty))
         return out
-
-    def _transfers_ordered(self, word: str) -> list[TransferTerm]:
-        transfers = self.lex.entries[word].transfers
-        return [t for t in transfers if t.rigidity == FLEXIBLE] + \
-               [t for t in transfers if t.rigidity == RIGID]
 
     # -- slot filling -------------------------------------------------------
 
@@ -301,57 +299,42 @@ class _Search:
             if co is not None:
                 label = f"graph:{print_type(a)}->{print_type(b)}"
                 fills.append((Use(label, FLEXIBLE, "graph"), co))
-        if arg.head is not None and arg.head.word is not None:
-            for tr in self._transfers_ordered(arg.head.word):
-                tr_ty = typecheck(tr.term, self.sig)
-                if tr_ty == slot:
-                    fills.append((Use(tr.label, tr.rigidity, "transfer"), tr.term))
+        fills.extend((use, term) for use, term, cod in self.transfers(arg, a) if cod == b)
         return fills
 
     def fill_slots(self, term: Term, ty: Type, arg: _Cand, consumed_ty: Type,
-                   node_path: tuple[int, ...]) -> list[tuple[Term, Type, UsageMap, tuple]]:
+                   occ: Occurrence, node_path: tuple[int, ...]
+                   ) -> list[tuple[Term, Type, tuple[Use, ...], tuple]]:
         """Saturate leading adaptor slots.  A slot is a leading result arrow
         whose domain expects a view of the just-consumed argument (it maps
         from the type the argument was consumed at); every slot must be
-        filled, each possible fill being a branch."""
+        filled, each possible fill being a branch.  The uses come later
+        slots first, the coercions in slot order."""
         if not (isinstance(ty, Arrow) and isinstance(ty.domain, Arrow)
                 and ty.domain.domain == consumed_ty):
-            return [(term, ty, {}, ())]
+            return [(term, ty, (), ())]
         slot = ty.domain
         fills = self.slot_fills(slot, arg)
         if not fills:
             self.failures.append(Failure(node_path, "NoPath", slot.domain, slot.codomain))
             return []
-        occ = arg.head or Occurrence(node_path + (1,), None)
         out = []
         for use, fill_term in fills:
-            filled = App(term, fill_term)
-            for rterm, rty, ruses, rcos in self.fill_slots(filled, ty.codomain, arg,
-                                                           consumed_ty, node_path):
-                uses = _add_use(ruses, occ, use)
+            for rterm, rty, ruses, rcos in self.fill_slots(App(term, fill_term), ty.codomain,
+                                                           arg, consumed_ty, occ, node_path):
                 cos = (((occ, fill_term),) if use.kind != "main" else ()) + rcos
-                out.append((rterm, rty, uses, cos))
+                out.append((rterm, rty, ruses + (use,), cos))
         return out
 
     # -- one application edge ----------------------------------------------
 
     def apply_node(self, fn: _Cand, arg: _Cand, node_path: tuple[int, ...]) -> list[_Cand]:
-        out: list[_Cand] = []
-        out.extend(self._apply_variants(fn, arg, node_path, allow_arg_adapt=True))
+        out = self._apply_variants(fn, arg, node_path, allow_arg_adapt=True)
         # function-side: the function word's own transfers
-        if fn.head is not None and fn.head.word is not None:
-            for tr in self._transfers_ordered(fn.head.word):
-                tr_ty = typecheck(tr.term, self.sig)
-                if not (isinstance(tr_ty, Arrow) and tr_ty.domain == fn.ty):
-                    continue
-                shifted = _Cand(
-                    term=coerce_app(tr.term, fn.term),
-                    ty=tr_ty.codomain,
-                    uses=_add_use(fn.uses, fn.head, Use(tr.label, tr.rigidity, "transfer")),
-                    coercions=fn.coercions + ((fn.head, tr.term),),
-                    head=fn.head,
-                )
-                out.extend(self._apply_variants(shifted, arg, node_path, allow_arg_adapt=False))
+        for use, term, cod in self.transfers(fn, fn.ty):
+            shifted = _Cand(coerce_app(term, fn.term), cod, fn.uses + ((fn.head, (use,)),),
+                            fn.coercions + ((fn.head, term),), fn.head)
+            out.extend(self._apply_variants(shifted, arg, node_path, allow_arg_adapt=False))
         return out
 
     def _apply_variants(self, fn: _Cand, arg: _Cand, node_path: tuple[int, ...],
@@ -361,32 +344,29 @@ class _Search:
             self.failures.append(Failure(node_path, "NotFunction", fn.ty, None))
             return []
         adaptations = self.arg_adaptations(arg) if allow_arg_adapt else \
-            [_Adaptation(None, arg.ty, None)]
+            [_Adaptation(None, None, arg.ty)]
+        occ = arg.head or Occurrence(node_path + (1,), None)
         matched_any = False
         out: list[_Cand] = []
-        for adapt in adaptations:
-            theta = match_type(dom, adapt.adapted_type, frozenset(binders))
+        for use, wrapper, adapted_ty in adaptations:
+            theta = match_type(dom, adapted_ty, frozenset(binders))
             if theta is None:
                 continue
             matched_any = True
-            arg_term = arg.term if adapt.wrapper is None else coerce_app(adapt.wrapper, arg.term)
-            term, ty = _instantiate(fn.term, binders, theta, dom, cod, arg_term,
-                                    adapt.adapted_type)
-            occ = arg.head or Occurrence(node_path + (1,), None)
-            uses = _merge_uses(fn.uses, arg.uses)
-            if adapt.use is not None:
-                uses = _add_use(uses, occ, adapt.use)
+            arg_term = arg.term if wrapper is None else coerce_app(wrapper, arg.term)
+            term, ty = _instantiate(fn.term, binders, theta, cod, arg_term)
+            uses = fn.uses + arg.uses
             coercions = fn.coercions + arg.coercions
-            if adapt.wrapper is not None:
-                coercions = coercions + ((occ, adapt.wrapper),)
-            for f_term, f_ty, f_uses, f_cos in self.fill_slots(term, ty, arg,
-                                                               adapt.adapted_type, node_path):
-                all_uses = _merge_uses(uses, f_uses)
-                violation = check_rigidity(all_uses)
-                if violation is not None:
+            if wrapper is not None:
+                coercions = coercions + ((occ, wrapper),)
+            for f_term, f_ty, f_uses, f_cos in self.fill_slots(term, ty, arg, adapted_ty,
+                                                               occ, node_path):
+                occ_uses = f_uses if use is None else (use,) + f_uses
+                if not _licit(occ_uses):
                     self.failures.append(Failure(node_path, "RigidityViolation",
-                                                 occurrence=violation.occurrence))
+                                                 occurrence=occ))
                     continue
+                all_uses = uses + ((occ, occ_uses),) if occ_uses else uses
                 out.append(_Cand(f_term, f_ty, all_uses, coercions + f_cos, head=None))
         if not matched_any:
             self.failures.append(Failure(node_path, "NoPath", arg.ty, dom))
@@ -398,8 +378,7 @@ class _Search:
         match tree:
             case Leaf(word):
                 entry = self.lex.entry(word)
-                ty = typecheck(entry.main_term, self.sig)
-                return [_Cand(entry.main_term, ty, {}, (), Occurrence(path, word))]
+                return [_Cand(entry.main_term, entry.ty, (), (), Occurrence(path, word))]
             case Node(fn, arg):
                 fns = self.candidates(fn, path + (0,))
                 args = self.candidates(arg, path + (1,))
@@ -409,6 +388,11 @@ class _Search:
                         out.extend(self.apply_node(fc, ac, path))
                 return out
             case TyAnno(sub, ty_args):
+                for t in ty_args:
+                    try:
+                        check_wf_type(t, self.sig.sorts)
+                    except IllFormedType as e:
+                        raise IllFormedType(f"TY annotation {print_type(t)}: {e}") from None
                 out = []
                 for cand in self.candidates(sub, path + (0,)):
                     term, ty = cand.term, cand.ty
@@ -428,13 +412,13 @@ class _Search:
 
 def _peel(ty: Type) -> tuple[list[str], Optional[Type], Optional[Type]]:
     """Strip leading quantifiers (freshened to unique names) down to the
-    first arrow; (binders, domain, codomain), domain None when not an arrow."""
+    first arrow; (binders, domain, codomain), domain None when not an arrow.
+    `ty` is closed, so only the binders themselves need avoiding."""
     binders: list[str] = []
-    seen: set[str] = set(free_tyvars(ty))
     while isinstance(ty, Forall):
         binder, body = ty.binder, ty.body
         if binder in binders:
-            fresh = fresh_name(binder, seen | set(binders))
+            fresh = fresh_name(binder, set(binders))
             body = subst_type(body, binder, TyVar(fresh))
             binder = fresh
         binders.append(binder)
@@ -445,10 +429,11 @@ def _peel(ty: Type) -> tuple[list[str], Optional[Type], Optional[Type]]:
 
 
 def _instantiate(fn_term: Term, binders: list[str], theta: dict[str, Type],
-                 dom: Type, cod: Type, arg_term: Term, arg_ty: Type) -> tuple[Term, Type]:
+                 cod: Type, arg_term: Term) -> tuple[Term, Type]:
     """Apply fn to arg under the matched instantiation; binders the match did
-    not determine are re-abstracted outside the application."""
-    avoid = set(free_tyvars_in_term(fn_term)) | set(free_tyvars_in_term(arg_term)) | set(binders)
+    not determine are re-abstracted outside the application.  Both terms are
+    closed, so fresh names need only avoid the binders."""
+    avoid = set(binders)
     term = fn_term
     residuals: list[str] = []
     full: dict[str, Type] = {}
@@ -481,21 +466,23 @@ DEFAULT_LIMIT = 16
 
 def compose(tree: ParseTree, lex: Lexicon, limit: int = DEFAULT_LIMIT) -> list[Analysis]:
     """Up to `limit` analyses, deterministic order, distinct up to
-    alpha-equivalence of their normal forms.  Unknown words raise; any other
-    failure yields the empty list (see diagnose)."""
+    alpha-equivalence of their normal forms.  Unknown words and ill-formed
+    TY annotations raise; any other failure yields the empty list (see
+    diagnose)."""
     analyses, _ = _compose_with_failures(tree, lex, limit)
     return analyses
 
 
 def _compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
-                           ) -> tuple[list[Analysis], list[Failure]]:
+                           ) -> tuple[list[Analysis], DiagnoseReport]:
+    """The analyses, and the search's failures when there are none."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     search = _Search(lex)
-    cands = search.candidates(tree)
     analyses: list[Analysis] = []
     seen = set()
-    for cand in cands:
+    for cand in search.candidates(tree):
+        # typechecking in the empty context also checks that the term is closed
         ty = typecheck(cand.term, lex.signature)
         assert ty == cand.ty, "composed term type drifted from the search's bookkeeping"
         nf = normalize(cand.term, lex.signature)
@@ -512,7 +499,7 @@ def _compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
         ))
         if len(analyses) >= limit:
             break
-    return analyses, search.failures
+    return analyses, DiagnoseReport(() if analyses else tuple(search.failures))
 
 
 def apply_node(fn_term: Term, arg_term: Term, lex: Lexicon,
@@ -522,21 +509,14 @@ def apply_node(fn_term: Term, arg_term: Term, lex: Lexicon,
     adapted applications; each result is (term, adaptation record)."""
     search = _Search(lex)
     sig = lex.signature
-    fn = _Cand(fn_term, typecheck(fn_term, sig), {}, (),
+    fn = _Cand(fn_term, typecheck(fn_term, sig), (), (),
                Occurrence((0,), fn_word) if fn_word else None)
-    arg = _Cand(arg_term, typecheck(arg_term, sig), {}, (),
+    arg = _Cand(arg_term, typecheck(arg_term, sig), (), (),
                 Occurrence((1,), arg_word) if arg_word else None)
-    out = []
-    for cand in search.apply_node(fn, arg, ()):
-        record = {str(occ): tuple(u.label for u in uses) for occ, uses in cand.uses.items()}
-        out.append((cand.term, record))
-    return out
+    return [(cand.term, _labels(cand.uses)) for cand in search.apply_node(fn, arg, ())]
 
 
 def diagnose(tree: ParseTree, lex: Lexicon) -> DiagnoseReport:
     """Empty when the tree composes; otherwise the recorded failures, of
     which `deepest` is the most useful one."""
-    analyses, failures = _compose_with_failures(tree, lex, DEFAULT_LIMIT)
-    if analyses:
-        return DiagnoseReport(())
-    return DiagnoseReport(tuple(failures))
+    return _compose_with_failures(tree, lex, DEFAULT_LIMIT)[1]

@@ -487,27 +487,25 @@ def _formula_from_sexpr(node: _SexprNode, sig: Signature, env: dict[str, Type]):
         if len(items) != 2:
             raise ParseError("(not F) expected", node.line, node.col)
         return Conn("not", (_as_formula(items[1], sig, env),))
-    if head in _BINDER_TAGS:
+    if head in _BINDER_TAGS or head == "lam":
         if (len(items) != 3 or items[1].items is None or len(items[1].items) != 2
                 or items[1].items[0].atom is None):
             raise ParseError(f"({head} (x TYPE) F) expected", node.line, node.col)
         var = items[1].items[0].atom
-        sort_type = _type_from_sexpr(items[1].items[1], None)
-        inner = dict(env)
-        inner[var] = sort_type
-        body = _as_formula(items[2], sig, inner)
-        kind = _BINDER_TAGS[head]
-        if kind in (FORALL, EXISTS):
-            return Quant(kind, var, sort_type, body)
-        return Hilbert(kind, var, sort_type, body)
-    if head == "lam":
-        var = items[1].items[0].atom
         var_type = _type_from_sexpr(items[1].items[1], None)
         inner = dict(env)
         inner[var] = var_type
-        return HAbs(var, var_type, _read_sexpr_at(items[2], sig, inner))
+        if head == "lam":
+            return HAbs(var, var_type, _formula_from_sexpr(items[2], sig, inner))
+        body = _as_formula(items[2], sig, inner)
+        kind = _BINDER_TAGS[head]
+        if kind in (FORALL, EXISTS):
+            return Quant(kind, var, var_type, body)
+        return Hilbert(kind, var, var_type, body)
     if head == "tlam":
-        return HTyAbs(items[1].atom, _read_sexpr_at(items[2], sig, env))
+        if len(items) != 3 or items[1].atom is None:
+            raise ParseError("(tlam v F) expected", node.line, node.col)
+        return HTyAbs(items[1].atom, _formula_from_sexpr(items[2], sig, env))
     # an application headed by a constant: predicate atom or function term
     if not sig.has_constant(head):
         raise ParseError(f"unknown predicate or function {head!r}", node.line, node.col)
@@ -525,7 +523,7 @@ def _formula_from_sexpr(node: _SexprNode, sig: Signature, env: dict[str, Type]):
     for item in rest[i:]:
         if not isinstance(cur, Arrow):
             raise ParseError(f"too many arguments to {head}", node.line, node.col)
-        args.append(_read_sexpr_at(item, sig, env))
+        args.append(_formula_from_sexpr(item, sig, env))
         cur = cur.codomain
     if cur == PROP:
         return Atom(head, declared, tuple(ty_args), tuple(args))
@@ -537,7 +535,3 @@ def _as_formula(node, sig, env) -> Formula:
     if not isinstance(out, Formula):
         raise ParseError("expected a formula", node.line, node.col)
     return out
-
-
-def _read_sexpr_at(node, sig, env):
-    return _formula_from_sexpr(node, sig, env)

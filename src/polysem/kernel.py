@@ -298,18 +298,7 @@ def _reduce_ri(term: Term, sig: Signature) -> Optional[Term]:
 
 
 def is_beta_normal(term: Term, sig: Signature) -> bool:
-    if _contract(term, sig) is not None:
-        return False
-    match term:
-        case Var() | Const():
-            return True
-        case Lam(_, _, body) | TyLam(_, body):
-            return is_beta_normal(body, sig)
-        case App(fn, arg):
-            return is_beta_normal(fn, sig) and is_beta_normal(arg, sig)
-        case TyApp(fn, _):
-            return is_beta_normal(fn, sig)
-    raise TypeError(f"not a Term: {term!r}")
+    return _reduce_lo(term, sig) is None
 
 
 def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,

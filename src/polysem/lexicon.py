@@ -92,6 +92,7 @@ class TransferTerm:
     label: str
     term: Term
     rigidity: str  # RIGID | FLEXIBLE
+    ty: Type  # closed, computed when the lexicon loads
 
     @property
     def rigid(self) -> bool:
@@ -102,6 +103,7 @@ class TransferTerm:
 class LexEntry:
     word: str
     main_term: Term
+    ty: Type  # of main_term; closed, computed when the lexicon loads
     transfers: tuple[TransferTerm, ...] = ()
 
 
@@ -123,14 +125,16 @@ def transfers_for(lex: Lexicon, word: str) -> list[TransferTerm]:
     return list(lex.entry(word).transfers)
 
 
-def _closed_typed(term: Term, sig: Signature, word: str) -> Type:
+def _closed_typed(term_txt: str, sig: Signature, word: str) -> tuple[Term, Type]:
+    """An entry's term, definitions expanded, and its closed type."""
     try:
+        term = expand_definitions(parse_term(term_txt, sig, allow_free=False), sig)
         ty = typecheck(term, sig, EMPTY_CONTEXT)
     except PolysemError as e:
         raise TypeErrorInEntry(word, e) from None
     if free_tyvars(ty):
         raise TypeErrorInEntry(word, LexiconError(f"type {ty} of entry term is not closed"))
-    return ty
+    return term, ty
 
 
 def load_lexicon(text: str) -> Lexicon:
@@ -270,16 +274,11 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             fail(DuplicateWord(f"line {lineno}: word {word!r} declared twice"))
             continue
         try:
-            term = parse_term(term_txt, sig, allow_free=False)
-            term = expand_definitions(term, sig)
-            _closed_typed(term, sig, word)
-        except ParseError as e:
-            fail(TypeErrorInEntry(word, e))
-            continue
+            term, ty = _closed_typed(term_txt, sig, word)
         except TypeErrorInEntry as e:
             fail(e)
             continue
-        entries[word] = LexEntry(word, term)
+        entries[word] = LexEntry(word, term, ty)
 
     for lineno, word, label, rigidity, term_txt in transfer_lines:
         if word not in entries:
@@ -290,17 +289,12 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             fail(LexiconError(f"line {lineno}: duplicate transfer label {label!r} for {word!r}"))
             continue
         try:
-            term = parse_term(term_txt, sig, allow_free=False)
-            term = expand_definitions(term, sig)
-            _closed_typed(term, sig, word)
-        except ParseError as e:
-            fail(TypeErrorInEntry(word, e))
-            continue
+            term, ty = _closed_typed(term_txt, sig, word)
         except TypeErrorInEntry as e:
             fail(e)
             continue
-        entries[word] = LexEntry(word, entry.main_term,
-                                 entry.transfers + (TransferTerm(label, term, rigidity),))
+        entries[word] = LexEntry(word, entry.main_term, entry.ty,
+                                 entry.transfers + (TransferTerm(label, term, rigidity, ty),))
 
     return Lexicon(signature=sig, coercions=graph, entries=entries), problems
 

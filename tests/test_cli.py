@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -128,6 +129,49 @@ def test_compose_unknown_word(capsys, lex_path, tmp_path):
     code, out = _run(capsys, ["compose", lex_path, str(trees), "--json"])
     assert code == 1
     assert json.loads(out)["items"][1]["diagnostic"] == "word 'unicorn' is not in the lexicon"
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("flags, golden", [([], "compose_fixtures.txt"),
+                                           (["--json"], "compose_fixtures.json")],
+                         ids=["text", "json"])
+def test_compose_golden_output(capsys, lex_path, trees_path, flags, golden):
+    # pins binder names, the order of the used-transfer labels and the
+    # diagnostics byte for byte
+    argv = ["compose", lex_path, trees_path, "--show-term", "--show-formula", "--profile"]
+    code, out = _run(capsys, argv + flags)
+    assert code == 1
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_compose_ill_formed_type_annotation(capsys, tmp_path):
+    lexicon = tmp_path / "poly.lex"
+    lexicon.write_text("sort e:dog\n"
+                       "const bot : (all a a)\n"
+                       "word id main (tlam a (lam (x a) x))\n"
+                       "word bot main bot\n")
+    trees = tmp_path / "trees.txt"
+    trees.write_text("(NODE (TY (LEAF id) a) (TY (LEAF bot) a))\n"
+                     "(TY (LEAF id) e:nope)\n"
+                     "(NODE (TY (LEAF id) e:dog) (TY (LEAF bot) e:dog))\n")
+    code, out = _run(capsys, ["compose", str(lexicon), str(trees)])
+    assert code == 1
+    assert out.splitlines() == [
+        "tree 1: 0 analysis(es)",
+        "  diagnostic: TY annotation a: unbound type variable a",
+        "tree 2: 0 analysis(es)",
+        "  diagnostic: TY annotation e:nope: undeclared sort e:nope",
+        "tree 3: 1 analysis(es)",
+        "  [1] type: e:dog",
+    ]
+
+
+@pytest.mark.parametrize("limit", ["0", "-1", "two"])
+def test_compose_rejects_non_positive_limit(capsys, lex_path, trees_path, limit):
+    assert main(["compose", lex_path, trees_path, "--limit", limit]) == 2
+    assert "--limit: expected a positive integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from polysem.composer import (
     parse_tree,
     parse_trees,
 )
-from polysem.errors import UnknownWord
+from polysem.errors import IllFormedType, UnknownWord
 from polysem.kernel import match_type, normalize, typecheck
 from polysem.lexicon import load_lexicon
 from polysem.syntax import (
@@ -108,6 +108,19 @@ def test_chair_barks_rejected(lex):
 def test_unknown_word_raises(lex):
     with pytest.raises(UnknownWord):
         compose(parse_tree("(LEAF martian)"), lex)
+
+
+def test_ill_formed_type_annotation_raises(lex):
+    # TY types are checked against the lexicon's sorts in the empty
+    # type-variable context, before the search builds any term from them
+    for tree_text in ("(NODE (TY (LEAF every) a) (LEAF barks))",
+                      "(NODE (TY (LEAF every) e:nope) (LEAF barks))",
+                      "(TY (LEAF every) (-> e:dog (all b c)))"):
+        with pytest.raises(IllFormedType):
+            compose(parse_tree(tree_text), lex)
+    # a closed annotation is accepted, even when the sorts then do not fit
+    assert compose(parse_tree("(NODE (TY (LEAF every) (-> e:dog (all b b))) (LEAF barks))"),
+                   lex) == []
 
 
 def test_limit_respected(lex):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from polysem.composer import compose, parse_tree
-from polysem.errors import NotNormal, NotPropType, UnexpectedHead
+from polysem.errors import NotNormal, NotPropType, ParseError, UnexpectedHead
 from polysem.hol import (
     Atom,
     Conn,
@@ -208,6 +208,14 @@ def test_sexpr_roundtrip_golden(lex):
     f = parse_formula(text, lex.signature)
     assert print_formula(f, SEXPR) == text
     assert f == _book_formula(lex)
+
+
+@pytest.mark.parametrize("text", ["(lam x)", "(lam (x) y)", "(lam (x e:dog))",
+                                  "(lam (x e:dog) (barks x) rex)", "(tlam)", "(tlam a)",
+                                  "(tlam (a) (barks rex))", "(forall x (barks x))"])
+def test_parse_formula_malformed_binders(lex, text):
+    with pytest.raises(ParseError):
+        parse_formula(text, lex.signature)
 
 
 def test_sexpr_roundtrip_random(lex):

@@ -74,6 +74,16 @@ def test_liverpool_transfer_is_rigid(lex):
     assert labels == [("townToClub", "rigid")]
 
 
+def test_entry_types_stored_at_load(lex):
+    # the composer reads these instead of typechecking entries per use
+    for entry in lex.entries.values():
+        assert entry.ty == typecheck(entry.main_term, lex.signature)
+        for tr in entry.transfers:
+            assert tr.ty == typecheck(tr.term, lex.signature)
+    assert lex.entry("and").ty == lex.signature.constant_type("AND")
+    assert transfers_for(lex, "book")[0].ty == parse_type("(-> e:book e:info)")
+
+
 def test_unknown_word(lex):
     with pytest.raises(UnknownWord):
         transfers_for(lex, "martian")
