@@ -30,7 +30,7 @@ from .kernel import (
     normalize,
     typecheck,
 )
-from .lexicon import lexicon_problems, load_lexicon, load_lexicon_file
+from .lexicon import lexicon_problems, load_lexicon
 from .syntax import (
     App,
     Arrow,
@@ -159,11 +159,26 @@ class _Report:
         return EXIT_OK if all(i.get("ok", False) for i in self.items) else EXIT_FAIL
 
 
-def _load_lexicon(path: str):
+class _InputError(Exception):
+    """An input file that cannot be read, or a lexicon that does not load."""
+
+
+def _read_text(path: str) -> str:
     try:
-        return load_lexicon_file(path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as e:
-        raise SystemExit(_io_error(f"cannot read {path}: {e.strerror or e}"))
+        raise _InputError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise _InputError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+
+
+def _load_lexicon(path: str):
+    text = _read_text(path)
+    try:
+        return load_lexicon(text)
+    except PolysemError as e:
+        raise _InputError(str(e)) from None
 
 
 def _io_error(msg: str) -> int:
@@ -177,11 +192,7 @@ def _io_error(msg: str) -> int:
 
 def cmd_lexicon_check(args) -> int:
     report = _Report("lexicon.check", args.json)
-    try:
-        with open(args.path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        return _io_error(f"cannot read {args.path}: {e.strerror or e}")
+    text = _read_text(args.path)
     problems = lexicon_problems(text)
     if problems:
         report.add({"path": args.path, "ok": False, "problems": problems},
@@ -199,16 +210,8 @@ def cmd_lexicon_check(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-        with open(args.trees, encoding="utf-8") as fh:
-            trees = parse_trees(fh.read())
-    except SystemExit as e:
-        return int(e.code)
-    except OSError as e:
-        return _io_error(f"cannot read {args.trees}: {e.strerror or e}")
-    except PolysemError as e:
-        return _io_error(str(e))
+    lex = _load_lexicon(args.lexicon)
+    trees = parse_trees(_read_text(args.trees))
     report = _Report("compose", args.json)
     for k, tree in enumerate(trees, start=1):
         try:
@@ -255,10 +258,7 @@ def _parse_and_check(lex, text: str):
 
 
 def cmd_typecheck(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-    except SystemExit as e:
-        return int(e.code)
+    lex = _load_lexicon(args.lexicon)
     report = _Report("typecheck", args.json)
     try:
         term, ty = _parse_and_check(lex, args.term)
@@ -270,10 +270,7 @@ def cmd_typecheck(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    try:
-        lex = _load_lexicon(args.lexicon)
-    except SystemExit as e:
-        return int(e.code)
+    lex = _load_lexicon(args.lexicon)
     report = _Report("normalize", args.json)
     try:
         term, ty = _parse_and_check(lex, args.term)
@@ -360,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sf_p = sub.add_parser("search-false", help="search for constant-free inhabitants")
     sf_p.add_argument("type")
-    sf_p.add_argument("--max-size", type=int, default=9)
+    sf_p.add_argument("--max-size", type=_positive_int, default=9)
     sf_p.add_argument("--json", action="store_true")
     sf_p.set_defaults(run=cmd_search_false)
 
@@ -375,7 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_IO if e.code not in (0, None) else 0
     try:
         return args.run(args)
-    except ParseError as e:
+    except (_InputError, ParseError) as e:
         return _io_error(str(e))
 
 

@@ -117,17 +117,6 @@ def parse_trees(text: str) -> list[ParseTree]:
     return out
 
 
-def tree_words(tree: ParseTree) -> list[str]:
-    match tree:
-        case Leaf(word):
-            return [word]
-        case Node(fn, arg):
-            return tree_words(fn) + tree_words(arg)
-        case TyAnno(sub, _):
-            return tree_words(sub)
-    raise TypeError(f"not a ParseTree: {tree!r}")
-
-
 # ---------------------------------------------------------------------------
 # Occurrences and adaptation bookkeeping
 
@@ -196,7 +185,7 @@ class Analysis:
 @dataclass(frozen=True)
 class Failure:
     path: tuple[int, ...]
-    kind: str  # "NoPath" | "RigidityViolation" | "NotFunction"
+    kind: str  # "NoPath" | "RigidityViolation" | "NotFunction" | "NotPolymorphic"
     from_type: Optional[Type] = None
     to_type: Optional[Type] = None
     occurrence: Optional[Occurrence] = None
@@ -205,8 +194,8 @@ class Failure:
         where = ".".join(map(str, self.path)) if self.path else "root"
         if self.kind == "RigidityViolation":
             return f"RigidityViolation({self.occurrence}) at {where}"
-        if self.kind == "NotFunction":
-            return f"NotFunction({print_type(self.from_type)}) at {where}"
+        if self.kind in ("NotFunction", "NotPolymorphic"):
+            return f"{self.kind}({print_type(self.from_type)}) at {where}"
         return (f"NoPath({print_type(self.from_type)}, {print_type(self.to_type)})"
                 f" at {where}")
 
@@ -399,7 +388,7 @@ class _Search:
                     ok = True
                     for t in ty_args:
                         if not isinstance(ty, Forall):
-                            self.failures.append(Failure(path, "NotFunction", ty, None))
+                            self.failures.append(Failure(path, "NotPolymorphic", ty, None))
                             ok = False
                             break
                         term = TyApp(term, t)

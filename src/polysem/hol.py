@@ -165,10 +165,10 @@ def extract_formula(m: Union[NormalForm, Term], sig: Signature) -> Formula:
         raise NotNormal("term is not beta-normal")
     if not is_eta_long(term, sig):
         raise NotNormal("term is not eta-long")
-    return _read_formula(term, {}, sig)
+    return _read_formula(term, sig)
 
 
-def _read_formula(term: Term, env: dict[str, Type], sig: Signature) -> Formula:
+def _read_formula(term: Term, sig: Signature) -> Formula:
     head, elims = spine(term)
     match head:
         case Const(name, _) if name in _CONN_CONSTANTS:
@@ -176,16 +176,14 @@ def _read_formula(term: Term, env: dict[str, Type], sig: Signature) -> Formula:
             if len(elims) != want or any(isinstance(e, Type) for e in elims):
                 raise NotNormal(f"connective {name} is not saturated")
             return Conn(_CONN_CONSTANTS[name],
-                        tuple(_read_formula(e, env, sig) for e in elims))
+                        tuple(_read_formula(e, sig) for e in elims))
         case Const(name, _) if name in _QUANT_CONSTANTS:
             ty_arg, body_fn = _binder_elims(name, elims)
-            inner = dict(env)
-            inner[body_fn.binder] = body_fn.binder_type
             return Quant(_QUANT_CONSTANTS[name], body_fn.binder, ty_arg,
-                         _read_formula(body_fn.body, inner, sig))
+                         _read_formula(body_fn.body, sig))
         case Const(name, declared):
             return Atom(name, declared,
-                        *_read_const_args(name, declared, elims, env, sig))
+                        *_read_const_args(name, declared, elims, sig))
         case Var(name):
             raise UnexpectedHead(f"variable-headed spine: {name}")
     raise UnexpectedHead(f"cannot read head {head!r} as a formula")
@@ -200,7 +198,7 @@ def _binder_elims(name: str, elims) -> tuple[Type, Lam]:
     return elims[0], body_fn
 
 
-def _read_const_args(name: str, declared: Type, elims, env, sig
+def _read_const_args(name: str, declared: Type, elims, sig
                      ) -> tuple[tuple[Type, ...], tuple[HolTerm, ...]]:
     """Walk the constant's type along its eliminations, reading each term
     argument at the expected domain type."""
@@ -216,57 +214,46 @@ def _read_const_args(name: str, declared: Type, elims, env, sig
         else:
             if not isinstance(cur, Arrow):
                 raise NotNormal(f"excess argument on {name}")
-            args.append(_read_holterm(e, cur.domain, env, sig))
+            args.append(_read_holterm(e, cur.domain, sig))
             cur = cur.codomain
     if isinstance(cur, (Arrow, Forall)):
         raise NotNormal(f"{name} is not saturated (eta-long forms are)")
     return tuple(ty_args), tuple(args)
 
 
-def _read_holterm(term: Term, expected: Type, env: dict[str, Type], sig: Signature
-                  ) -> HolTerm:
+def _read_holterm(term: Term, expected: Type, sig: Signature) -> HolTerm:
     if expected == PROP:
-        return Embed(_read_formula(term, env, sig))
+        return Embed(_read_formula(term, sig))
     match expected:
-        case Arrow(dom, _cod):
+        case Arrow(dom, cod):
             if not isinstance(term, Lam):
                 raise NotNormal("functional argument is not an abstraction (eta-long)")
-            inner = dict(env)
-            inner[term.binder] = term.binder_type
-            body = _read_at(term.body, _strip_one(expected), inner, sig)
-            return HAbs(term.binder, dom, body)
+            return HAbs(term.binder, dom, _read_at(term.body, cod, sig))
         case Forall(binder, body_ty):
             if not isinstance(term, TyLam):
                 raise NotNormal("polymorphic argument is not a type abstraction (eta-long)")
             inner_ty = subst_type(body_ty, binder, TyVar(term.binder))
-            return HTyAbs(term.binder, _read_at(term.body, inner_ty, env, sig))
+            return HTyAbs(term.binder, _read_at(term.body, inner_ty, sig))
     head, elims = spine(term)
     match head:
         case Var(name):
             if elims:
                 raise UnexpectedHead(f"variable-headed spine: {name}")
-            return HVar(name, env.get(name, expected))
+            return HVar(name, expected)
         case Const(name, declared) if name in _HILBERT_CONSTANTS:
             ty_arg, body_fn = _binder_elims(name, elims)
-            inner = dict(env)
-            inner[body_fn.binder] = body_fn.binder_type
             return Hilbert(_HILBERT_CONSTANTS[name], body_fn.binder, ty_arg,
-                           _read_formula(body_fn.body, inner, sig))
+                           _read_formula(body_fn.body, sig))
         case Const(name, declared):
-            ty_args, args = _read_const_args(name, declared, elims, env, sig)
+            ty_args, args = _read_const_args(name, declared, elims, sig)
             return ConstApp(name, declared, ty_args, args)
     raise UnexpectedHead(f"cannot read head {head!r} as a term")
 
 
-def _strip_one(ty: Type) -> Type:
-    assert isinstance(ty, Arrow)
-    return ty.codomain
-
-
-def _read_at(term: Term, expected: Type, env, sig) -> Union[HolTerm, Formula]:
+def _read_at(term: Term, expected: Type, sig) -> Union[HolTerm, Formula]:
     if expected == PROP:
-        return _read_formula(term, env, sig)
-    return _read_holterm(term, expected, env, sig)
+        return _read_formula(term, sig)
+    return _read_holterm(term, expected, sig)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Optional
 from .errors import (
     FuelExhausted,
     IllFormedType,
+    TypeCheckError,
     TypeMismatch,
     UnboundVariable,
 )
@@ -68,8 +69,6 @@ EMPTY_CONTEXT = TypingContext()
 @dataclass(frozen=True)
 class NormalForm:
     term: Term
-    eta_long: bool
-    beta_normal: bool
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,7 @@ def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
     while True:
         nxt = reduce_once(current, sig, strategy)
         if nxt is None:
-            return NormalForm(current, eta_long=is_eta_long(current, sig), beta_normal=True)
+            return NormalForm(current)
         steps += 1
         if steps > fuel:
             raise FuelExhausted(f"no normal form within {fuel} steps")
@@ -322,17 +321,18 @@ def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
 
 def eta_expand(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT) -> NormalForm:
     """Eta-long form of a beta-normal, well-typed term."""
-    ty = typecheck(term, sig, ctx)
-    out = _eta(term, ty, sig, ctx)
-    return NormalForm(out, eta_long=True, beta_normal=True)
+    return NormalForm(_eta(term, typecheck(term, sig, ctx), sig, ctx))
 
 
 def _eta(term: Term, ty: Type, sig: Signature, ctx: TypingContext) -> Term:
+    # An eta-long subterm comes back as the same object, so that comparing
+    # an eta-long term with its expansion stops at the identity check.
     match ty:
         case Arrow(dom, cod):
             if isinstance(term, Lam):
                 inner = ctx.bind(term.binder, term.binder_type)
-                return Lam(term.binder, term.binder_type, _eta(term.body, cod, sig, inner))
+                body = _eta(term.body, cod, sig, inner)
+                return term if body is term.body else Lam(term.binder, term.binder_type, body)
             x = fresh_name("x", free_vars(term) | set(ctx.term_vars))
             inner = ctx.bind(x, dom)
             return Lam(x, dom, _eta(App(term, Var(x)), cod, sig, inner))
@@ -340,7 +340,8 @@ def _eta(term: Term, ty: Type, sig: Signature, ctx: TypingContext) -> Term:
             if isinstance(term, TyLam):
                 a = term.binder
                 inner = ctx.bind_ty(a)
-                return TyLam(a, _eta(term.body, subst_type(body_ty, binder, TyVar(a)), sig, inner))
+                body = _eta(term.body, subst_type(body_ty, binder, TyVar(a)), sig, inner)
+                return term if body is term.body else TyLam(a, body)
             a = fresh_name(binder, free_tyvars_in_term(term) | ctx.ty_vars)
             inner = ctx.bind_ty(a)
             return TyLam(a, _eta(TyApp(term, TyVar(a)), subst_type(body_ty, binder, TyVar(a)), sig, inner))
@@ -361,6 +362,7 @@ def _eta_spine(term: Term, sig: Signature, ctx: TypingContext) -> Term:
             raise TypeMismatch("a neutral spine head", head, ())
     out: Term = head
     cur = head_ty
+    changed = False
     for e in elims:
         if isinstance(e, Type):
             assert isinstance(cur, Forall)
@@ -368,55 +370,20 @@ def _eta_spine(term: Term, sig: Signature, ctx: TypingContext) -> Term:
             cur = subst_type(cur.body, cur.binder, e)
         else:
             assert isinstance(cur, Arrow)
-            out = App(out, _eta(e, cur.domain, sig, ctx))
+            arg = _eta(e, cur.domain, sig, ctx)
+            changed = changed or arg is not e
+            out = App(out, arg)
             cur = cur.codomain
-    return out
+    return out if changed else term
 
 
 def is_eta_long(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT) -> bool:
-    """Structural check of the eta-long discipline on a beta-normal term."""
+    """A well-typed, beta-normal term is eta-long when eta-expansion leaves
+    it unchanged."""
     try:
-        ty = typecheck(term, sig, ctx)
-    except Exception:
+        return _eta(term, typecheck(term, sig, ctx), sig, ctx) == term
+    except TypeCheckError:
         return False
-    return _is_eta_long(term, ty, sig, ctx)
-
-
-def _is_eta_long(term: Term, ty: Type, sig: Signature, ctx: TypingContext) -> bool:
-    match ty:
-        case Arrow(_, cod):
-            if not isinstance(term, Lam):
-                return False
-            inner = ctx.bind(term.binder, term.binder_type)
-            return _is_eta_long(term.body, cod, sig, inner)
-        case Forall(binder, body_ty):
-            if not isinstance(term, TyLam):
-                return False
-            inner = ctx.bind_ty(term.binder)
-            return _is_eta_long(term.body, subst_type(body_ty, binder, TyVar(term.binder)), sig, inner)
-        case _:
-            head, elims = spine(term)
-            match head:
-                case Var(name):
-                    cur = ctx.term_vars.get(name)
-                    if cur is None:
-                        return False
-                case Const(_, declared):
-                    cur = declared
-                case _:
-                    return False
-            for e in elims:
-                if isinstance(e, Type):
-                    if not isinstance(cur, Forall):
-                        return False
-                    cur = subst_type(cur.body, cur.binder, e)
-                else:
-                    if not isinstance(cur, Arrow):
-                        return False
-                    if not _is_eta_long(e, cur.domain, sig, ctx):
-                        return False
-                    cur = cur.codomain
-            return not isinstance(cur, (Arrow, Forall))
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,6 @@ class Type:
             return NotImplemented
         return canon_type(self) == canon_type(other)
 
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self) -> int:
         return hash(canon_type(self))
 
@@ -159,10 +155,6 @@ class Term:
         if not isinstance(other, Term):
             return NotImplemented
         return canon_term(self) == canon_term(other)
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self) -> int:
         return hash(canon_term(self))

@@ -168,6 +168,15 @@ def test_compose_ill_formed_type_annotation(capsys, tmp_path):
     ]
 
 
+def test_compose_not_polymorphic(capsys, lex_path, tmp_path):
+    trees = tmp_path / "trees.txt"
+    trees.write_text("(TY (LEAF book) e:dog)\n")
+    code, out = _run(capsys, ["compose", lex_path, str(trees)])
+    assert code == 1
+    assert out.splitlines() == ["tree 1: 0 analysis(es)",
+                                "  diagnostic: NotPolymorphic(e:book) at root"]
+
+
 @pytest.mark.parametrize("limit", ["0", "-1", "two"])
 def test_compose_rejects_non_positive_limit(capsys, lex_path, trees_path, limit):
     assert main(["compose", lex_path, trees_path, "--limit", limit]) == 2
@@ -216,6 +225,39 @@ def test_normalize_ill_typed_exit_code(capsys, lex_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("lexicon, message", [
+    ("sort e:a\nword w main nosuch\n", "error: entry 'w': "),
+    ("sort e:a\nsort e:b\nsort e:c\ncoercion x : e:a -> e:b\n"
+     "coercion y : e:b -> e:c\ncoercion z : e:a -> e:c\n",
+     "error: coercion graph is incoherent: "),
+], ids=["bad-entry", "incoherent"])
+@pytest.mark.parametrize("command", ["typecheck", "normalize"])
+def test_unloadable_lexicon_is_input_error(capsys, tmp_path, command, lexicon, message):
+    bad = tmp_path / "bad.lex"
+    bad.write_text(lexicon)
+    assert main([command, str(bad), "(lam (x t) x)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["lexicon", "check", "{bad}"],
+    ["compose", "{bad}", "{trees}"],
+    ["compose", "{lex}", "{bad}"],
+    ["typecheck", "{bad}", "(lam (x t) x)"],
+    ["normalize", "{bad}", "(lam (x t) x)"],
+], ids=["lexicon-check", "compose-lexicon", "compose-trees", "typecheck", "normalize"])
+def test_non_utf8_file_is_input_error(capsys, tmp_path, lex_path, trees_path, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("word caf\xe9 main p\n".encode("latin-1"))
+    paths = {"bad": str(bad), "lex": lex_path, "trees": trees_path}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {bad}: not UTF-8 (invalid continuation byte at byte 8)\n"
+
+
 # ---------------------------------------------------------------------------
 # search-false
 
@@ -230,6 +272,12 @@ def test_search_false_finds_nothing_for_false(capsys):
     code, out = _run(capsys, ["search-false", "(all a a)", "--max-size", "9"])
     assert code == 0
     assert "inhabitants up to size 9: 0" in out
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_search_false_rejects_non_positive_size(capsys, size):
+    assert main(["search-false", "(all a a)", "--max-size", size]) == 2
+    assert "--max-size: expected a positive integer" in capsys.readouterr().err
 
 
 def test_json_reports_parse(capsys, lex_path):

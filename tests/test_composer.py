@@ -222,6 +222,17 @@ def test_diagnose_rigidity(lex):
     assert report.deepest.occurrence.word == "Liverpool"
 
 
+def test_diagnose_not_polymorphic(lex):
+    # a type argument for a term whose type has no quantifier
+    report = diagnose(parse_tree("(TY (LEAF book) e:dog)"), lex)
+    assert report.deepest.kind == "NotPolymorphic"
+    assert report.deepest.from_type == etype("book")
+    assert report.describe() == "NotPolymorphic(e:book) at root"
+    # an argument for a term whose type has no arrow
+    report = diagnose(parse_tree("(NODE (LEAF Rex) (LEAF barks))"), lex)
+    assert report.describe() == "NotFunction(e:dog) at root"
+
+
 def test_diagnose_empty_on_success(lex):
     assert diagnose(parse_tree(BOOK_TREE), lex).empty
 

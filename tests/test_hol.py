@@ -119,6 +119,7 @@ def test_readback_random_formulas(lex):
         term = formula_to_term(f, lex.signature)
         assert typecheck(term, lex.signature) == PROP
         again = extract_formula(term, lex.signature)
+        assert again == f
         assert alpha_eq(formula_to_term(again, lex.signature), term)
 
 

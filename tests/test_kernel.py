@@ -4,6 +4,7 @@ import pytest
 
 from polysem.errors import TypeMismatch, UnboundVariable
 from polysem.kernel import (
+    EMPTY_CONTEXT,
     LEFTMOST_OUTERMOST,
     RIGHTMOST_INNERMOST,
     eta_expand,
@@ -13,6 +14,7 @@ from polysem.kernel import (
     match_type,
     normalize,
     reduce_once,
+    subst_type,
     substitute,
     substitute_ty,
     typecheck,
@@ -23,17 +25,22 @@ from polysem.inductives import numeral, register_finset, register_nat
 from polysem.syntax import (
     App,
     Arrow,
+    Const,
     Forall,
     Lam,
     PROP,
     TyApp,
     TyLam,
     TyVar,
+    Type,
     Var,
     alpha_eq,
+    entity_sort,
     etype,
     parse_term,
     parse_type,
+    print_term,
+    spine,
 )
 
 
@@ -132,7 +139,7 @@ def test_one_beta_step(sig):
     m = parse_term("(app (lam (x t) x) (app (app ∧ p) q))", sig)
     nf = normalize(m, sig)
     assert nf.term == parse_term("(app (app ∧ p) q)", sig)
-    assert nf.beta_normal
+    assert is_beta_normal(nf.term, sig)
 
 
 def test_book_sentence_normal_form(sig):
@@ -175,9 +182,9 @@ def test_fuel_exhaustion_is_diagnostic(sig):
 
 def test_normal_form_flags(sig):
     nf = normalize(sig.const("barks"), sig)
-    assert nf.beta_normal and not nf.eta_long
+    assert is_beta_normal(nf.term, sig) and not is_eta_long(nf.term, sig)
     expanded = eta_expand(nf.term, sig)
-    assert expanded.beta_normal and expanded.eta_long
+    assert is_beta_normal(expanded.term, sig) and is_eta_long(expanded.term, sig)
 
 
 def test_recursor_addition():
@@ -200,7 +207,7 @@ def test_eta_expand_predicate_constant(sig):
     p = sig.const("barks")
     out = eta_expand(p, sig)
     assert out.term == parse_term("(lam (x e:dog) (app barks x))", sig)
-    assert out.eta_long and out.beta_normal
+    assert is_eta_long(out.term, sig) and is_beta_normal(out.term, sig)
 
 
 def test_eta_expand_idempotent(sig):
@@ -224,6 +231,7 @@ def test_eta_expand_instantiated_quantifier(sig):
 def test_is_eta_long_flags(sig):
     assert not is_eta_long(sig.const("barks"), sig)
     assert is_eta_long(parse_term("(lam (x e:dog) (app barks x))", sig), sig)
+    assert not is_eta_long(parse_term("(lam (y e:dog) barks)", sig), sig)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +305,73 @@ def test_eta_expand_stable(sig):
         once = eta_expand(nf, gsig).term
         assert alpha_eq(eta_expand(once, gsig).term, once)
         assert is_eta_long(once, gsig)
+
+
+def _oracle_is_eta_long(term, sig, ctx=EMPTY_CONTEXT):
+    """The structural eta-long check that `is_eta_long` replaced, kept as
+    the reference for the differential test below."""
+    try:
+        ty = typecheck(term, sig, ctx)
+    except Exception:
+        return False
+    return _oracle_walk(term, ty, sig, ctx)
+
+
+def _oracle_walk(term, ty, sig, ctx):
+    match ty:
+        case Arrow(_, cod):
+            if not isinstance(term, Lam):
+                return False
+            inner = ctx.bind(term.binder, term.binder_type)
+            return _oracle_walk(term.body, cod, sig, inner)
+        case Forall(binder, body_ty):
+            if not isinstance(term, TyLam):
+                return False
+            inner = ctx.bind_ty(term.binder)
+            return _oracle_walk(term.body, subst_type(body_ty, binder, TyVar(term.binder)), sig, inner)
+        case _:
+            head, elims = spine(term)
+            match head:
+                case Var(name):
+                    cur = ctx.term_vars.get(name)
+                    if cur is None:
+                        return False
+                case Const(_, declared):
+                    cur = declared
+                case _:
+                    return False
+            for e in elims:
+                if isinstance(e, Type):
+                    if not isinstance(cur, Forall):
+                        return False
+                    cur = subst_type(cur.body, cur.binder, e)
+                else:
+                    if not isinstance(cur, Arrow):
+                        return False
+                    if not _oracle_walk(e, cur.domain, sig, ctx):
+                        return False
+                    cur = cur.codomain
+            return not isinstance(cur, (Arrow, Forall))
+
+
+def test_is_eta_long_matches_structural_oracle():
+    # the corpus of scripts/confluence_experiment.py
+    base = register_finset(register_nat(builtin_signature()))
+    base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+    terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
+    consts = [Const(name, ty) for name, ty in gsig.constants.items()]
+    # a constant, bare or under a binder, is eta-long only at an atomic type
+    cases = consts + [Lam("v", PROP, c) for c in consts] + [TyLam("b", c) for c in consts]
+    for m in terms:
+        nf = normalize(m, gsig).term
+        cases += [m, nf, eta_expand(nf, gsig).term]
+    verdicts = set()
+    for term in cases:
+        verdict = is_eta_long(term, gsig)
+        assert verdict == _oracle_is_eta_long(term, gsig), print_term(term)
+        verdicts.add((is_beta_normal(term, gsig), verdict))
+    # covers missing abstractions as well as redexes
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
