@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Time `compose` (limit 16) on k = 1..max_k conjoined copredications.
+
+    python3 scripts/compose_scaling.py [max_k]      # default 10
+
+Tree k is `perfbench.workloads.ambiguity_tree(random.Random(1), k, False)`,
+with 2^k readings.  One JSON line per k: the median of 5 `compose` times, and
+the `normalize` calls and reduction steps of one more `compose`.
+"""
+
+import json
+import pathlib
+import random
+import statistics
+import sys
+import timeit
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import AMBIGUITY_LEXICON, ambiguity_tree  # noqa: E402
+from polysem import composer, kernel  # noqa: E402
+from polysem.lexicon import load_lexicon  # noqa: E402
+
+LIMIT, REPEATS = 16, 5
+
+
+def counting(fn, counts: dict, key: str):
+    """fn, adding to counts[key] each call that returns something."""
+    def wrapper(*args):
+        out = fn(*args)
+        counts[key] += out is not None
+        return out
+    return wrapper
+
+
+def counted_compose(tree, lex) -> dict:
+    counts = {"normalize_calls": 0, "reduce_steps": 0}
+    normalize, reduce_once = composer.normalize, kernel.reduce_once
+    composer.normalize = counting(normalize, counts, "normalize_calls")
+    kernel.reduce_once = counting(reduce_once, counts, "reduce_steps")
+    try:
+        counts["analyses"] = len(composer.compose(tree, lex, LIMIT))
+    finally:
+        composer.normalize, kernel.reduce_once = normalize, reduce_once
+    return counts
+
+
+def main():
+    lex = load_lexicon(AMBIGUITY_LEXICON)
+    for k in range(1, (int(sys.argv[1]) if len(sys.argv) > 1 else 10) + 1):
+        tree = composer.parse_tree(ambiguity_tree(random.Random(1), k, False).text)
+        times = timeit.repeat(lambda: composer.compose(tree, lex, LIMIT), number=1, repeat=REPEATS)
+        print(json.dumps({"k": k, "compose_ms": round(1000 * statistics.median(times), 2),
+                          **counted_compose(tree, lex)}))
+
+
+if __name__ == "__main__":
+    main()

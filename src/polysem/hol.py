@@ -24,9 +24,9 @@ from .kernel import (
     EMPTY_CONTEXT,
     NormalForm,
     is_beta_normal,
-    is_eta_long,
     subst_type,
     typecheck,
+    _eta,
 )
 from .syntax import (
     PROP,
@@ -163,7 +163,8 @@ def extract_formula(m: Union[NormalForm, Term], sig: Signature) -> Formula:
         raise NotPropType(f"term has type {print_type(ty)}, not t")
     if not is_beta_normal(term, sig):
         raise NotNormal("term is not beta-normal")
-    if not is_eta_long(term, sig):
+    # is_eta_long without typechecking the term again
+    if _eta(term, ty, sig, EMPTY_CONTEXT) != term:
         raise NotNormal("term is not eta-long")
     return _read_formula(term, sig)
 

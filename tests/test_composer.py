@@ -7,9 +7,12 @@ networkx path enumeration for coercions; it shares none of the composer's
 search machinery.
 """
 
+import random
+
 import networkx as nx
 import pytest
 
+from polysem import composer
 from polysem.composer import (
     Leaf,
     MAIN,
@@ -23,10 +26,15 @@ from polysem.composer import (
     diagnose,
     parse_tree,
     parse_trees,
+    _normal,
+    _Search,
+    _typed,
 )
-from polysem.errors import IllFormedType, UnknownWord
+from polysem.errors import IllFormedType, TypeCheckError, UnknownWord
+from polysem.inductives import register_finset, register_nat
 from polysem.kernel import match_type, normalize, typecheck
-from polysem.lexicon import load_lexicon
+from polysem.lexicon import builtin_signature, load_lexicon
+from polysem.random_terms import generate_corpus
 from polysem.syntax import (
     App,
     Arrow,
@@ -37,9 +45,11 @@ from polysem.syntax import (
     Var,
     alpha_eq,
     canon_term,
+    entity_sort,
     etype,
     parse_term,
     print_term,
+    print_type,
 )
 
 BOOK_TREE = "(NODE (NODE (NODE (LEAF and) (LEAF heavy)) (LEAF interesting)) (LEAF book))"
@@ -547,3 +557,79 @@ def test_rigidity_is_scoped_per_occurrence():
     assert len(occs) == 2
     assert all(tuple(u.label for u in analyses[0].used_transfers[occ]) == ("t2c",)
                for occ in occs)
+
+
+# ---------------------------------------------------------------------------
+# sharing within one compose call: _normal and _typed against the kernel
+
+
+def _copredication_tree(rng, k):
+    """k "P and Q book" copredications conjoined with `both`."""
+    parts = []
+    for _ in range(k):
+        phys, info = rng.choice(("heavy", "cheap")), "interesting"
+        first, second = (phys, info) if rng.random() < 0.5 else (info, phys)
+        parts.append(f"(NODE (NODE (NODE (LEAF and) (LEAF {first})) (LEAF {second})) (LEAF book))")
+    tree = parts[-1]
+    for part in reversed(parts[:-1]):
+        tree = f"(NODE (NODE (LEAF both) {part}) {tree})"
+    return tree
+
+
+def _assert_shared_agrees(terms, sig):
+    """One pair of tables for all `terms`, as within one compose call."""
+    types, normals = {}, {}
+    for term in terms:
+        assert print_term(_normal(term, sig, normals)) == print_term(normalize(term, sig).term)
+        assert print_type(_typed(term, sig, types)) == print_type(typecheck(term, sig))
+
+
+def test_shared_normal_forms_and_types_match_kernel(lex, fixture_dir):
+    trees = [(lex, t) for t in parse_trees((fixture_dir / "trees.txt").read_text())]
+    oracle_lex = load_lexicon(ORACLE_LEXICON)
+    trees += [(oracle_lex, parse_tree(t)) for t in ORACLE_TREES]
+    rng = random.Random(7)
+    trees += [(oracle_lex, parse_tree(_copredication_tree(rng, k))) for k in range(1, 7)]
+    shared = 0
+    for tree_lex, tree in trees:
+        terms = [c.term for c in _Search(tree_lex).candidates(tree)]
+        _assert_shared_agrees(terms, tree_lex.signature)
+        shared += len(terms)
+    assert shared > 100
+
+
+def test_shared_normal_forms_match_kernel_on_corpus():
+    # the corpus of scripts/confluence_experiment.py, with recursor rules
+    base = register_finset(register_nat(builtin_signature()))
+    base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+    terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
+    _assert_shared_agrees(terms, gsig)
+
+
+@pytest.mark.parametrize("text", [
+    "(app barks b)",
+    "(app (app ∧ (app barks rex)) (app barks b))",
+    "(app ∧ (lam (y e:dog) (app barks b)))",
+    "(app (tapp (app barks rex) e:dog) rex)",
+    "(app (app ∧ (app barks rex)) y)",
+])
+def test_shared_typing_reports_kernel_errors(lex, text):
+    term = parse_term(text, lex.signature)
+    with pytest.raises(TypeCheckError) as ours:
+        _typed(term, lex.signature, {})
+    with pytest.raises(TypeCheckError) as kernels:
+        typecheck(term, lex.signature)
+    assert (type(ours.value), str(ours.value)) == (type(kernels.value), str(kernels.value))
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_compose_normalises_each_conjunct_once(k, monkeypatch):
+    # readings differ only in each conjunct's transfer (two per conjunct), so
+    # at most 2k pieces reach normalize, however many readings there are
+    lex = load_lexicon(ORACLE_LEXICON)
+    tree = parse_tree(_copredication_tree(random.Random(k), k))
+    calls = []
+    monkeypatch.setattr(composer, "normalize",
+                        lambda term, sig: calls.append(term) or normalize(term, sig))
+    assert len(compose(tree, lex, limit=16)) == 16
+    assert len(calls) <= 2 * k

@@ -22,7 +22,8 @@ from polysem.hol import (
     print_formula,
     type_order,
 )
-from polysem.kernel import eta_expand, typecheck
+from polysem import hol, kernel
+from polysem.kernel import eta_expand, is_beta_normal, typecheck
 from polysem.syntax import (
     Arrow,
     PROP,
@@ -85,6 +86,32 @@ def test_extract_rejects_redex(lex):
     term = parse_term("(app (lam (x t) x) (app barks rex))", lex.signature)
     with pytest.raises(NotNormal):
         extract_formula(term, lex.signature)
+
+
+def test_extract_rejects_missing_abstraction(lex):
+    # beta-normal and of type t, but the quantifier's scope is not a lambda:
+    # the eta-long check rejects it before the reader sees it
+    term = parse_term("(app (tapp ∀ e:dog) barks)", lex.signature)
+    assert is_beta_normal(term, lex.signature)
+    with pytest.raises(NotNormal, match="^term is not eta-long$"):
+        extract_formula(term, lex.signature)
+
+
+def test_extract_typechecks_once(lex, monkeypatch):
+    # only outermost calls count: typecheck's own recursion passes a path
+    outermost = []
+    real = kernel.typecheck
+
+    def counted(term, sig, ctx=kernel.EMPTY_CONTEXT, path=()):
+        if not path:
+            outermost.append(term)
+        return real(term, sig, ctx, path)
+
+    monkeypatch.setattr(kernel, "typecheck", counted)
+    monkeypatch.setattr(hol, "typecheck", counted)
+    term = parse_term("(app (tapp ∀ e:dog) (lam (x e:dog) (app barks x)))", lex.signature)
+    extract_formula(term, lex.signature)
+    assert len(outermost) == 1
 
 
 def test_extract_rejects_variable_head(lex):
