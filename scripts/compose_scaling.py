@@ -5,7 +5,7 @@
 
 Tree k is `perfbench.workloads.ambiguity_tree(random.Random(1), k, False)`,
 with 2^k readings.  One JSON line per k: the median of 5 `compose` times, and
-the `normalize` calls and reduction steps of one more `compose`.
+the reduction steps (contractions) of one more `compose`.
 """
 
 import json
@@ -25,24 +25,20 @@ from polysem.lexicon import load_lexicon  # noqa: E402
 LIMIT, REPEATS = 16, 5
 
 
-def counting(fn, counts: dict, key: str):
-    """fn, adding to counts[key] each call that returns something."""
-    def wrapper(*args):
-        out = fn(*args)
-        counts[key] += out is not None
-        return out
-    return wrapper
-
-
 def counted_compose(tree, lex) -> dict:
-    counts = {"normalize_calls": 0, "reduce_steps": 0}
-    normalize, reduce_once = composer.normalize, kernel.reduce_once
-    composer.normalize = counting(normalize, counts, "normalize_calls")
-    kernel.reduce_once = counting(reduce_once, counts, "reduce_steps")
+    counts = {"reduce_steps": 0}
+    reduce_once = kernel.reduce_once
+
+    def counted(*args):
+        out = reduce_once(*args)
+        counts["reduce_steps"] += out is not None
+        return out
+
+    kernel.reduce_once = counted
     try:
         counts["analyses"] = len(composer.compose(tree, lex, LIMIT))
     finally:
-        composer.normalize, kernel.reduce_once = normalize, reduce_once
+        kernel.reduce_once = reduce_once
     return counts
 
 

@@ -28,6 +28,7 @@ from .kernel import (
     eta_expand,
     expand_definitions,
     normalize,
+    subst_type,
     typecheck,
 )
 from .lexicon import lexicon_problems, load_lexicon
@@ -84,8 +85,6 @@ def _inhabit(ctx: tuple, tyctx: tuple, ty: Type, budget: int) -> Iterator[tuple[
                 yield Lam(x, dom, body), size + 1
         case Forall(binder, body_ty):
             a = f"{binder}{len(tyctx)}"
-            from .kernel import subst_type
-
             opened = subst_type(body_ty, binder, TyVar(a))
             for body, size in _inhabit(ctx, tyctx + (a,), opened, budget - 1):
                 yield TyLam(a, body), size + 1
@@ -125,8 +124,6 @@ def _spines(head: Term, head_ty: Type, target: Type, ctx: tuple, tyctx: tuple,
                 yield from _spines(App(head, arg), cod, target, ctx, tyctx,
                                    budget - 1 - arg_size, size + 1 + arg_size)
         case Forall(binder, body_ty):
-            from .kernel import subst_type
-
             for cand in _atomic_candidates(tyctx, target):
                 opened = subst_type(body_ty, binder, cand)
                 yield from _spines(TyApp(head, cand), opened, target, ctx, tyctx,

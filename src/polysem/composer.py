@@ -22,11 +22,11 @@ same occurrence is allowed in that analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .coercion import coerce_app, coercion_targets, find_coercion
-from .errors import IllFormedType, ParseError, TypeCheckError
+from .errors import IllFormedType, ParseError
 from .kernel import (
     match_type,
     normalize,
@@ -37,7 +37,6 @@ from .lexicon import FLEXIBLE, RIGID, Lexicon
 from .syntax import (
     App,
     Arrow,
-    Const,
     Forall,
     Lam,
     Term,
@@ -51,7 +50,6 @@ from .syntax import (
     fresh_name,
     parse_sexpr,
     print_type,
-    spine,
     _SexprNode,
     _type_from_sexpr,
 )
@@ -474,13 +472,11 @@ def _compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
     search = _Search(lex)
     analyses: list[Analysis] = []
     seen = set()
-    # id(subterm) -> (subterm, result), shared by readings; the held subterm keeps its id valid
-    types, normals = {}, {}
     for cand in search.candidates(tree):
         # typechecking in the empty context also checks that the term is closed
-        ty = _typed(cand.term, lex.signature, types)
+        ty = typecheck(cand.term, lex.signature)
         assert ty == cand.ty, "composed term type drifted from the search's bookkeeping"
-        nf = _normal(cand.term, lex.signature, normals)
+        nf = normalize(cand.term, lex.signature).term
         key = canon_term(nf)
         if key in seen:
             continue
@@ -495,45 +491,6 @@ def _compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
         if len(analyses) >= limit:
             break
     return analyses, DiagnoseReport(() if analyses else tuple(search.failures))
-
-
-def _typed(term: Term, sig, table: dict) -> Type:
-    """typecheck(term, sig) for a closed term, applying the App and TyApp rules
-    here over closed subterms; typecheck types the rest and reports errors."""
-    if id(term) not in table:
-        ty = None
-        try:
-            if isinstance(term, App):
-                fn_ty, arg_ty = _typed(term.fn, sig, table), _typed(term.arg, sig, table)
-                if isinstance(fn_ty, Arrow) and fn_ty.domain == arg_ty:
-                    ty = fn_ty.codomain
-            elif isinstance(term, TyApp) and isinstance(fn_ty := _typed(term.fn, sig, table), Forall):
-                check_wf_type(term.ty_arg, sig.sorts)
-                ty = subst_type(fn_ty.body, fn_ty.binder, term.ty_arg)
-        except TypeCheckError:
-            pass
-        table[id(term)] = (term, typecheck(term, sig) if ty is None else ty)
-    return table[id(term)][1]
-
-
-def _normal(term: Term, sig, table: dict) -> Term:
-    """normalize(term, sig).term.  Leftmost-outermost reduction treats a λ or Λ
-    body, and each argument of a spine headed by a variable or by a constant
-    heading no rule, in isolation (nothing outside changes its contractions or
-    fresh names), so they are normalised here; normalize gets only the rest."""
-    if id(term) not in table:
-        head, elims = spine(term)
-        if isinstance(term, (Lam, TyLam)):
-            out = replace(term, body=_normal(term.body, sig, table))
-        elif isinstance(head, Var) or (isinstance(head, Const) and all(
-                rule.recursor_head != head.name for rule in sig.rules)):
-            out = head
-            for e in elims:
-                out = TyApp(out, e) if isinstance(e, Type) else App(out, _normal(e, sig, table))
-        else:
-            out = normalize(term, sig).term
-        table[id(term)] = (term, out)
-    return table[id(term)][1]
 
 
 def apply_node(fn_term: Term, arg_term: Term, lex: Lexicon,

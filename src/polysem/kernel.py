@@ -8,7 +8,7 @@ heads.  Eta-long forms are computed only after beta-normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import (
@@ -174,27 +174,32 @@ def substitute_ty(term: Term, var: str, replacement: Type) -> Term:
 
 
 def typecheck(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT, path: tuple = ()) -> Type:
-    """The unique type of `term` under `ctx`, or a TypeCheckError."""
+    """The unique type of `term` under `ctx`, or a TypeCheckError.  A closed
+    term's type is remembered on its node, per signature, so that terms
+    sharing closed subterms type each of them once."""
+    closed = ctx is EMPTY_CONTEXT
+    memo = getattr(term, "_type_memo", None) if closed else None
+    if memo is not None and memo[0] is sig:
+        return memo[1]
     match term:
         case Var(name):
             ty = ctx.term_vars.get(name)
             if ty is None:
                 raise UnboundVariable(f"unbound variable {name}", path)
-            return ty
         case Const(name, declared):
             sig_ty = sig.constants.get(name)
             if sig_ty is None:
                 raise UnboundVariable(f"constant {name} not in signature", path)
             if declared != sig_ty:
                 raise TypeMismatch(sig_ty, declared, path)
-            return declared
+            ty = declared
         case Lam(binder, binder_type, body):
             try:
                 check_wf_type(binder_type, sig.sorts, ctx.ty_vars)
             except IllFormedType as e:
                 raise IllFormedType(str(e), path) from None
             body_ty = typecheck(body, sig, ctx.bind(binder, binder_type), path + ("body",))
-            return Arrow(binder_type, body_ty)
+            ty = Arrow(binder_type, body_ty)
         case App(fn, arg):
             fn_ty = typecheck(fn, sig, ctx, path + ("fn",))
             arg_ty = typecheck(arg, sig, ctx, path + ("arg",))
@@ -202,14 +207,14 @@ def typecheck(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT, pa
                 raise TypeMismatch(f"a function accepting {arg_ty}", fn_ty, path + ("fn",))
             if fn_ty.domain != arg_ty:
                 raise TypeMismatch(fn_ty.domain, arg_ty, path + ("arg",))
-            return fn_ty.codomain
+            ty = fn_ty.codomain
         case TyLam(binder, body):
             if binder in ctx.ty_vars:
                 fresh = fresh_name(binder, ctx.ty_vars | free_tyvars_in_term(body))
                 body = substitute_ty(body, binder, TyVar(fresh))
                 binder = fresh
             body_ty = typecheck(body, sig, ctx.bind_ty(binder), path + ("body",))
-            return Forall(binder, body_ty)
+            ty = Forall(binder, body_ty)
         case TyApp(fn, ty_arg):
             fn_ty = typecheck(fn, sig, ctx, path + ("fn",))
             if not isinstance(fn_ty, Forall):
@@ -218,8 +223,12 @@ def typecheck(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT, pa
                 check_wf_type(ty_arg, sig.sorts, ctx.ty_vars)
             except IllFormedType as e:
                 raise IllFormedType(str(e), path) from None
-            return subst_type(fn_ty.body, fn_ty.binder, ty_arg)
-    raise TypeError(f"not a Term: {term!r}")
+            ty = subst_type(fn_ty.body, fn_ty.binder, ty_arg)
+        case _:
+            raise TypeError(f"not a Term: {term!r}")
+    if closed:
+        object.__setattr__(term, "_type_memo", (sig, ty))
+    return ty
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +311,46 @@ def is_beta_normal(term: Term, sig: Signature) -> bool:
 
 def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
               strategy: str = LEFTMOST_OUTERMOST) -> NormalForm:
-    """Beta-normalize (including type-beta and recursor rules)."""
-    current = term
+    """Beta-normalize (including type-beta and recursor rules).
+
+    Both strategies reduce a λ or Λ body, and each argument of a spine headed
+    by a variable or by a constant heading no rule, in isolation: nothing
+    outside changes its contractions or fresh names.  So those pieces are
+    normalised one by one, every other piece is stepped with at most `fuel`
+    contractions, and each piece's normal form is remembered on its node, per
+    signature and strategy; a remembered piece takes no steps."""
+    if strategy not in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return NormalForm(_normal(term, sig, fuel, strategy))
+
+
+def _normal(term: Term, sig: Signature, fuel: int, strategy: str) -> Term:
+    memo = getattr(term, "_normal_memo", None)
+    if memo is not None and memo[0] is sig and memo[1] == strategy:
+        return memo[2]
+    head, elims = spine(term)
+    if isinstance(term, (Lam, TyLam)):
+        out = replace(term, body=_normal(term.body, sig, fuel, strategy))
+    elif isinstance(head, Var) or (isinstance(head, Const) and all(
+            rule.recursor_head != head.name for rule in sig.rules)):
+        out = head
+        for e in elims:
+            out = TyApp(out, e) if isinstance(e, Type) else App(out, _normal(e, sig, fuel, strategy))
+    else:
+        out = _steps(term, sig, fuel, strategy)
+    object.__setattr__(term, "_normal_memo", (sig, strategy, out))
+    return out
+
+
+def _steps(term: Term, sig: Signature, fuel: int, strategy: str) -> Term:
+    """Iterate reduce_once to the normal form, within `fuel` contractions."""
     steps = 0
-    while True:
-        nxt = reduce_once(current, sig, strategy)
-        if nxt is None:
-            return NormalForm(current)
+    while (nxt := reduce_once(term, sig, strategy)) is not None:
         steps += 1
         if steps > fuel:
             raise FuelExhausted(f"no normal form within {fuel} steps")
-        current = nxt
+        term = nxt
+    return term
 
 
 # ---------------------------------------------------------------------------

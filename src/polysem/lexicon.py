@@ -30,7 +30,7 @@ from .errors import (
     TypeErrorInEntry,
     UnknownWord,
 )
-from .inductives import register_finset, register_nat
+from .inductives import NAT_SORT, register_finset, register_nat
 from .kernel import EMPTY_CONTEXT, expand_definitions, typecheck
 from .syntax import (
     PROP,
@@ -311,8 +311,6 @@ def save_lexicon(lex: Lexicon) -> str:
     """Render a lexicon back to the document format (inverse of load up to
     alpha-equivalence of the entry terms)."""
     lines: list[str] = []
-    from .inductives import NAT_SORT
-
     if NAT_SORT in lex.signature.sorts:
         lines.append("use nat")
     if lex.signature.has_constant("FoldS"):

@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .inductives import FOLD_SET, NAT, REC_NAT, numeral
-from .kernel import typecheck
+from .inductives import FOLD_SET, NAT, REC_NAT, finite_set, numeral
+from .kernel import subst_type, typecheck
 from .syntax import (
     App,
     Arrow,
@@ -104,8 +104,6 @@ class TermGenerator:
                 return Lam(x, dom, self.random_term(cod, ctx + ((x, dom),), depth + 1))
             case Forall(binder, body):
                 a = f"g{depth}_{len(ctx)}"
-                from .kernel import subst_type
-
                 opened = subst_type(body, binder, TyVar(a))
                 return TyLam(a, self.random_term(opened, ctx, depth + 1))
             case _:
@@ -155,8 +153,6 @@ class TermGenerator:
                 elem = self.rng.choice([NAT] if self.use_inductives else [PROP])
                 elems = [self.random_term(elem, ctx, self.max_depth)
                          for _ in range(self.rng.randrange(0, 3))]
-                from .inductives import finite_set
-
                 base = self.random_term(ty, ctx, depth + 1)
                 x, acc = f"v{len(ctx)}", f"v{len(ctx) + 1}"
                 step = Lam(x, elem, Lam(acc, ty, Var(acc)))

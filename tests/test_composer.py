@@ -12,7 +12,7 @@ import random
 import networkx as nx
 import pytest
 
-from polysem import composer
+from polysem import kernel
 from polysem.composer import (
     Leaf,
     MAIN,
@@ -26,13 +26,18 @@ from polysem.composer import (
     diagnose,
     parse_tree,
     parse_trees,
-    _normal,
     _Search,
-    _typed,
 )
 from polysem.errors import IllFormedType, TypeCheckError, UnknownWord
 from polysem.inductives import register_finset, register_nat
-from polysem.kernel import match_type, normalize, typecheck
+from polysem.kernel import (
+    LEFTMOST_OUTERMOST,
+    RIGHTMOST_INNERMOST,
+    match_type,
+    normalize,
+    reduce_once,
+    typecheck,
+)
 from polysem.lexicon import builtin_signature, load_lexicon
 from polysem.random_terms import generate_corpus
 from polysem.syntax import (
@@ -560,7 +565,7 @@ def test_rigidity_is_scoped_per_occurrence():
 
 
 # ---------------------------------------------------------------------------
-# sharing within one compose call: _normal and _typed against the kernel
+# sharing across one compose call's readings: the kernel's memo against fresh work
 
 
 def _copredication_tree(rng, k):
@@ -576,12 +581,30 @@ def _copredication_tree(rng, k):
     return tree
 
 
-def _assert_shared_agrees(terms, sig):
-    """One pair of tables for all `terms`, as within one compose call."""
-    types, normals = {}, {}
+def _stepped(term, sig, strategy):
+    """The plain stepper: reduce_once until there is no redex."""
+    while (nxt := reduce_once(term, sig, strategy)) is not None:
+        term = nxt
+    return term
+
+
+def _fresh(term, sig):
+    """A copy of `term` sharing no node with it, so nothing on it is remembered."""
+    return parse_term(print_term(term), sig)
+
+
+def _assert_memo_agrees(terms, sig):
+    """Each term asked twice, cold then warm; `terms` share subterms the way
+    one compose call's readings do."""
+    for strategy in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
+        for term in terms:
+            expected = print_term(_stepped(term, sig, strategy))
+            for _ in range(2):
+                assert print_term(normalize(term, sig, strategy=strategy).term) == expected
     for term in terms:
-        assert print_term(_normal(term, sig, normals)) == print_term(normalize(term, sig).term)
-        assert print_type(_typed(term, sig, types)) == print_type(typecheck(term, sig))
+        expected = print_type(typecheck(_fresh(term, sig), sig))
+        for _ in range(2):
+            assert print_type(typecheck(term, sig)) == expected
 
 
 def test_shared_normal_forms_and_types_match_kernel(lex, fixture_dir):
@@ -593,7 +616,7 @@ def test_shared_normal_forms_and_types_match_kernel(lex, fixture_dir):
     shared = 0
     for tree_lex, tree in trees:
         terms = [c.term for c in _Search(tree_lex).candidates(tree)]
-        _assert_shared_agrees(terms, tree_lex.signature)
+        _assert_memo_agrees(terms, tree_lex.signature)
         shared += len(terms)
     assert shared > 100
 
@@ -603,7 +626,7 @@ def test_shared_normal_forms_match_kernel_on_corpus():
     base = register_finset(register_nat(builtin_signature()))
     base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
     terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
-    _assert_shared_agrees(terms, gsig)
+    _assert_memo_agrees(terms, gsig)
 
 
 @pytest.mark.parametrize("text", [
@@ -614,22 +637,38 @@ def test_shared_normal_forms_match_kernel_on_corpus():
     "(app (app ∧ (app barks rex)) y)",
 ])
 def test_shared_typing_reports_kernel_errors(lex, text):
+    # the first call remembers the well-typed closed subterms, the second uses them
     term = parse_term(text, lex.signature)
-    with pytest.raises(TypeCheckError) as ours:
-        _typed(term, lex.signature, {})
-    with pytest.raises(TypeCheckError) as kernels:
-        typecheck(term, lex.signature)
-    assert (type(ours.value), str(ours.value)) == (type(kernels.value), str(kernels.value))
+    with pytest.raises(TypeCheckError) as fresh:
+        typecheck(_fresh(term, lex.signature), lex.signature)
+    for _ in range(2):
+        with pytest.raises(TypeCheckError) as ours:
+            typecheck(term, lex.signature)
+        assert (type(ours.value), str(ours.value)) == (type(fresh.value), str(fresh.value))
 
 
 @pytest.mark.parametrize("k", [4, 6])
 def test_compose_normalises_each_conjunct_once(k, monkeypatch):
-    # readings differ only in each conjunct's transfer (two per conjunct), so
-    # at most 2k pieces reach normalize, however many readings there are
-    lex = load_lexicon(ORACLE_LEXICON)
+    # the readings differ only in each conjunct's transfer (two per conjunct),
+    # and each conjunct is contracted once however many readings share it, so
+    # 16 readings take at most twice the contractions of one
     tree = parse_tree(_copredication_tree(random.Random(k), k))
-    calls = []
-    monkeypatch.setattr(composer, "normalize",
-                        lambda term, sig: calls.append(term) or normalize(term, sig))
-    assert len(compose(tree, lex, limit=16)) == 16
-    assert len(calls) <= 2 * k
+    contractions = []
+    step = kernel.reduce_once
+
+    def counted(term, sig, strategy):
+        out = step(term, sig, strategy)
+        if out is not None:
+            contractions.append(out)
+        return out
+
+    monkeypatch.setattr(kernel, "reduce_once", counted)
+
+    def contractions_for(limit):
+        # a fresh lexicon, so that no lexicon node remembers anything yet
+        start = len(contractions)
+        assert len(compose(tree, load_lexicon(ORACLE_LEXICON), limit=limit)) == limit
+        return len(contractions) - start
+
+    one = contractions_for(1)
+    assert 0 < contractions_for(16) <= 2 * one

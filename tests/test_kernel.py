@@ -1,7 +1,10 @@
 """Typing, substitution, reduction and eta-long forms."""
 
+from dataclasses import replace
+
 import pytest
 
+from polysem import kernel
 from polysem.errors import TypeMismatch, UnboundVariable
 from polysem.kernel import (
     EMPTY_CONTEXT,
@@ -21,7 +24,7 @@ from polysem.kernel import (
 )
 from polysem.lexicon import AND_SOURCE, builtin_signature
 from polysem.random_terms import generate_corpus
-from polysem.inductives import numeral, register_finset, register_nat
+from polysem.inductives import NAT, numeral, register_finset, register_nat
 from polysem.syntax import (
     App,
     Arrow,
@@ -178,6 +181,62 @@ def test_fuel_exhaustion_is_diagnostic(sig):
     with pytest.raises(FuelExhausted):
         normalize(m, sig, fuel=1)
     assert normalize(m, sig, fuel=2).term == sig.const("p")
+
+
+def test_unknown_strategy_is_rejected_without_a_redex(sig):
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        normalize(sig.const("∧"), sig, strategy="bogus")
+
+
+# ---------------------------------------------------------------------------
+# results remembered on the node: per signature and per strategy
+
+_REC_ZERO = ("(app (app (app (tapp RecN e:nat) (app Succ Zero))"
+             " (lam (k e:nat) (lam (a e:nat) a))) Zero)")
+
+
+def test_remembered_normal_form_is_per_signature():
+    rules = register_nat(builtin_signature())
+    no_rules = replace(rules, rules=())
+    term = parse_term(_REC_ZERO, rules)
+    for _ in range(2):
+        assert print_term(normalize(term, rules).term) == "(app Succ Zero)"
+        assert print_term(normalize(term, no_rules).term) == _REC_ZERO
+
+
+def test_remembered_type_is_per_signature():
+    nsig, bare = register_nat(builtin_signature()), builtin_signature()
+    term = parse_term(_REC_ZERO, nsig)
+    with pytest.raises(UnboundVariable) as fresh:
+        typecheck(parse_term(_REC_ZERO, nsig), bare)
+    assert fresh.value.path == ("fn", "fn", "fn", "fn")
+    for _ in range(2):
+        assert typecheck(term, nsig) == NAT
+        with pytest.raises(UnboundVariable) as ours:
+            typecheck(term, bare)
+        assert (str(ours.value), ours.value.path) == (str(fresh.value), fresh.value.path)
+
+
+def test_remembered_type_types_a_shared_closed_subterm_once(sig, monkeypatch):
+    calls = []
+    check = kernel.typecheck
+    monkeypatch.setattr(kernel, "typecheck", lambda term, *rest: calls.append(term) or check(term, *rest))
+    shared = parse_term("(app barks rex)", sig)
+    assert kernel.typecheck(App(App(sig.const("∧"), shared), shared), sig) == PROP
+    assert sum(term is shared for term in calls) == 2
+    assert sum(term is shared.fn for term in calls) == 1
+
+
+@pytest.mark.parametrize("first, second", [
+    (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST),
+    (RIGHTMOST_INNERMOST, LEFTMOST_OUTERMOST),
+])
+def test_remembered_normal_form_is_per_strategy(sig, first, second):
+    # the strategies rename the captured binder differently
+    expected = {LEFTMOST_OUTERMOST: "(lam (y'2 t) y)", RIGHTMOST_INNERMOST: "(lam (y'1 t) y)"}
+    term = parse_term("(app (lam (x t) (lam (y t) x)) (app (lam (z t) y) y'1))", sig)
+    for strategy in (first, second, first):
+        assert print_term(normalize(term, sig, strategy=strategy).term) == expected[strategy]
 
 
 def test_normal_form_flags(sig):
