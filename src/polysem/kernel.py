@@ -38,7 +38,7 @@ from .syntax import (
     free_tyvars_in_term,
     free_vars,
     fresh_name,
-    spine,
+    spine_nodes,
 )
 
 LEFTMOST_OUTERMOST = "leftmost-outermost"
@@ -137,7 +137,9 @@ def substitute(term: Term, var: str, replacement: Term) -> Term:
                 return TyApp(go(fn), ty_arg)
         raise TypeError(f"not a Term: {t!r}")
 
-    return go(term)
+    out = go(term)
+    del go  # go reaches itself through its closure: break that cycle now
+    return out
 
 
 def substitute_ty(term: Term, var: str, replacement: Type) -> Term:
@@ -166,7 +168,9 @@ def substitute_ty(term: Term, var: str, replacement: Type) -> Term:
                 return TyApp(go(fn), subst_type(ty_arg, var, replacement))
         raise TypeError(f"not a Term: {t!r}")
 
-    return go(term)
+    out = go(term)
+    del go  # as in substitute
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +246,28 @@ def _contract(term: Term, sig: Signature) -> Optional[Term]:
             return substitute(body, binder, arg)
         case TyApp(TyLam(binder, body), ty_arg):
             return substitute_ty(body, binder, ty_arg)
-    for rule in sig.rules:
-        out = rule.try_rewrite(term)
-        if out is not None:
-            return out
+    return rule.try_rewrite(term) if sig.rules and (rule := _root_rule(term, sig)) else None
+
+
+def _root_rule(term: Term, sig: Signature):
+    """The rule that contracts `term` at its root, if any."""
+    head, nodes = spine_nodes(term)
+    return _rule_for(head.name, term.arg, sig) if _scrutinee(head, nodes, sig) == len(nodes) - 1 else None
+
+
+def _scrutinee(head: Term, nodes: list, sig: Signature) -> Optional[int]:
+    """The index of the node giving a recursor head the scrutinee its rules take."""
+    n_ty, k = sig.recursor_shapes.get(head.name, (0, 0)) if isinstance(head, Const) else (0, 0)
+    if 0 < k <= len(nodes) and all(isinstance(n, App) == (i >= n_ty) for i, n in enumerate(nodes[:k])):
+        return k - 1
     return None
+
+
+def _rule_for(recursor: str, scrutinee: Term, sig: Signature):
+    """The rule of `recursor` on the constructor heading `scrutinee`, if any."""
+    while isinstance(scrutinee, (App, TyApp)):
+        scrutinee = scrutinee.fn
+    return sig.rule_table.get((recursor, scrutinee.name)) if isinstance(scrutinee, Const) else None
 
 
 def reduce_once(term: Term, sig: Signature, strategy: str = LEFTMOST_OUTERMOST) -> Optional[Term]:
@@ -311,46 +332,93 @@ def is_beta_normal(term: Term, sig: Signature) -> bool:
 
 def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
               strategy: str = LEFTMOST_OUTERMOST) -> NormalForm:
-    """Beta-normalize (including type-beta and recursor rules).
-
-    Both strategies reduce a λ or Λ body, and each argument of a spine headed
-    by a variable or by a constant heading no rule, in isolation: nothing
-    outside changes its contractions or fresh names.  So those pieces are
-    normalised one by one, every other piece is stepped with at most `fuel`
-    contractions, and each piece's normal form is remembered on its node, per
-    signature and strategy; a remembered piece takes no steps."""
+    """Beta-normalize (including type-beta and recursor rules) by the contractions
+    of iterating reduce_once, in its order, at most `fuel` in the call.  The
+    normal form of a λ/Λ body or of an argument but a recursor's scrutinee is
+    remembered on its node per signature and strategy, and then costs no steps."""
     if strategy not in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
         raise ValueError(f"unknown strategy {strategy!r}")
-    return NormalForm(_normal(term, sig, fuel, strategy))
+    return NormalForm((_lo if strategy == LEFTMOST_OUTERMOST else _ri)(term, sig, [fuel, fuel]))
 
 
-def _normal(term: Term, sig: Signature, fuel: int, strategy: str) -> Term:
+def _fire(redex: Term, rest: list, sig: Signature, fuel: list) -> Term:
+    """Contract `redex`, spending one of `fuel`'s [left, allowed], and reapply `rest`."""
+    if fuel[0] <= 0:
+        raise FuelExhausted(f"no normal form within {fuel[1]} steps")
+    fuel[0] -= 1
+    term = reduce_once(redex, sig, LEFTMOST_OUTERMOST)
+    for n in rest:
+        term = App(term, n.arg) if isinstance(n, App) else TyApp(term, n.ty_arg)
+    return term
+
+
+def _remembered(term: Term, sig: Signature, strategy: str) -> Optional[Term]:
+    if isinstance(term, (Var, Const)):
+        return term
     memo = getattr(term, "_normal_memo", None)
-    if memo is not None and memo[0] is sig and memo[1] == strategy:
-        return memo[2]
-    head, elims = spine(term)
-    if isinstance(term, (Lam, TyLam)):
-        out = replace(term, body=_normal(term.body, sig, fuel, strategy))
-    elif isinstance(head, Var) or (isinstance(head, Const) and all(
-            rule.recursor_head != head.name for rule in sig.rules)):
-        out = head
-        for e in elims:
-            out = TyApp(out, e) if isinstance(e, Type) else App(out, _normal(e, sig, fuel, strategy))
-    else:
-        out = _steps(term, sig, fuel, strategy)
-    object.__setattr__(term, "_normal_memo", (sig, strategy, out))
+    return (memo[2] or term) if memo is not None and memo[0] is sig and memo[1] == strategy else None
+
+
+def _remember(term: Term, out: Term, sig: Signature, strategy: str) -> Term:
+    # A normal node remembers None, not itself, so that no node refers to itself.
+    object.__setattr__(term, "_normal_memo", (sig, strategy, None if out is term else out))
     return out
 
 
-def _steps(term: Term, sig: Signature, fuel: int, strategy: str) -> Term:
-    """Iterate reduce_once to the normal form, within `fuel` contractions."""
-    steps = 0
-    while (nxt := reduce_once(term, sig, strategy)) is not None:
-        steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"no normal form within {fuel} steps")
-        term = nxt
-    return term
+def _lo(term: Term, sig: Signature, fuel: list, stop: Optional[str] = None) -> Term:
+    """Leftmost-outermost: contract the redex the head makes with a prefix of
+    the spine, else normalise a λ/Λ head's body, then the arguments.  A scrutinee
+    returns once a top contraction heads it by a constructor firing `stop`."""
+    if stop is None and (out := _remembered(term, sig, LEFTMOST_OUTERMOST)) is not None:
+        return out
+    t = term
+    while True:
+        head, nodes = spine_nodes(t)
+        k = _scrutinee(head, nodes, sig)
+        if nodes and isinstance(head, (Lam, TyLam)) and isinstance(nodes[0], App if isinstance(head, Lam) else TyApp):
+            t = _fire(nodes[0], nodes[1:], sig, fuel)
+        elif k is not None and _rule_for(head.name, nodes[k].arg, sig):
+            t = _fire(nodes[k], nodes[k + 1:], sig, fuel)
+        else:
+            out = head
+            if isinstance(head, (Lam, TyLam)):
+                body = _lo(head.body, sig, fuel)
+                out = head if body is head.body else replace(head, body=body)
+            for i, n in enumerate(nodes):
+                if isinstance(n, TyApp):
+                    out = n if out is n.fn else TyApp(out, n.ty_arg)
+                    continue
+                arg = _lo(n.arg, sig, fuel, head.name if i == k else None)
+                out = n if out is n.fn and arg is n.arg else App(out, arg)
+                if i == k and _rule_for(head.name, arg, sig):
+                    t = _fire(out, nodes[i + 1:], sig, fuel)
+                    break
+            else:
+                return out if stop else _remember(term, out, sig, LEFTMOST_OUTERMOST)
+        if stop and _rule_for(stop, t, sig):
+            return t
+
+
+def _ri(term: Term, sig: Signature, fuel: list) -> Term:
+    """Rightmost-innermost: the argument, the function, then the node."""
+    if (out := _remembered(term, sig, RIGHTMOST_INNERMOST)) is not None:
+        return out
+    out = term
+    while True:
+        if isinstance(out, (Lam, TyLam)):
+            body = _ri(out.body, sig, fuel)
+            out = out if body is out.body else replace(out, body=body)
+        elif isinstance(out, App):
+            arg, fn = _ri(out.arg, sig, fuel), _ri(out.fn, sig, fuel)
+            out = out if fn is out.fn and arg is out.arg else App(fn, arg)
+        elif isinstance(out, TyApp):
+            fn = _ri(out.fn, sig, fuel)
+            out = out if fn is out.fn else TyApp(fn, out.ty_arg)
+        # the function and argument are normal: only the node can be a redex
+        if not (isinstance(out, App) and isinstance(out.fn, Lam) or isinstance(out, TyApp)
+                and isinstance(out.fn, TyLam) or sig.rules and _root_rule(out, sig)):
+            return _remember(term, out, sig, RIGHTMOST_INNERMOST)
+        out = _fire(out, [], sig, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +456,7 @@ def _eta(term: Term, ty: Type, sig: Signature, ctx: TypingContext) -> Term:
 
 
 def _eta_spine(term: Term, sig: Signature, ctx: TypingContext) -> Term:
-    head, elims = spine(term)
+    head, nodes = spine_nodes(term)
     match head:
         case Var(name):
             head_ty = ctx.term_vars[name]
@@ -398,21 +466,18 @@ def _eta_spine(term: Term, sig: Signature, ctx: TypingContext) -> Term:
             # beta-normal atomic-type spines can only be headed by a
             # variable or constant
             raise TypeMismatch("a neutral spine head", head, ())
-    out: Term = head
-    cur = head_ty
-    changed = False
-    for e in elims:
-        if isinstance(e, Type):
+    out, cur = head, head_ty
+    for n in nodes:
+        if isinstance(n, TyApp):
             assert isinstance(cur, Forall)
-            out = TyApp(out, e)
-            cur = subst_type(cur.body, cur.binder, e)
+            out = n if out is n.fn else TyApp(out, n.ty_arg)
+            cur = subst_type(cur.body, cur.binder, n.ty_arg)
         else:
             assert isinstance(cur, Arrow)
-            arg = _eta(e, cur.domain, sig, ctx)
-            changed = changed or arg is not e
-            out = App(out, arg)
+            arg = _eta(n.arg, cur.domain, sig, ctx)
+            out = n if out is n.fn and arg is n.arg else App(out, arg)
             cur = cur.codomain
-    return out if changed else term
+    return out
 
 
 def is_eta_long(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT) -> bool:

@@ -239,6 +239,16 @@ def spine(term: Term) -> tuple[Term, list[Union[Term, Type]]]:
             return term, list(reversed(elims))
 
 
+def spine_nodes(term: Term) -> tuple[Term, list[Union[App, TyApp]]]:
+    """(head, nodes), the i-th node applying the head to i + 1 eliminations."""
+    nodes = []
+    while isinstance(term, (App, TyApp)):
+        nodes.append(term)
+        term = term.fn
+    nodes.reverse()
+    return term, nodes
+
+
 # ---------------------------------------------------------------------------
 # Canonical (de Bruijn) keys: the carrier of alpha-equivalence and hashing
 
@@ -403,6 +413,11 @@ class Signature:
 
     def __post_init__(self):
         object.__setattr__(self, "sorts", frozenset(self.sorts) | {PROP_SORT})
+        # The first rule per (recursor, constructor), and per recursor the
+        # (type arguments, arguments) that all of its rules take alike.
+        object.__setattr__(self, "rule_table", {(r.recursor_head, r.constructor): r for r in reversed(self.rules)})
+        object.__setattr__(self, "recursor_shapes", {r.recursor_head: (r.n_ty_args, r.n_ty_args + r.n_args)
+                                                     for r in self.rules})
 
     def has_constant(self, name: str) -> bool:
         return name in self.constants

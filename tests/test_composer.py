@@ -629,6 +629,92 @@ def test_shared_normal_forms_match_kernel_on_corpus():
     _assert_memo_agrees(terms, gsig)
 
 
+def _rec(ty, base, step, scrutinee):
+    return f"(app (app (app (tapp RecN {ty}) {base}) {step}) {scrutinee})"
+
+
+_ID = "(lam (z e:nat) z)"
+_SUCC = "(lam (k e:nat) (lam (a e:nat) (app Succ a)))"
+_ADD = f"(lam (m e:nat) (lam (n e:nat) {_rec('e:nat', 'n', _SUCC, 'm')}))"
+_MUL = ("(lam (m e:nat) (lam (n e:nat) "
+        + _rec("e:nat", "Zero", f"(lam (k e:nat) (lam (a e:nat) (app (app {_ADD} n) a)))", "m") + "))")
+
+
+def _numeral(n):
+    return "(app Succ " * n + "Zero" + ")" * n
+
+
+def _set(items, empty="(tapp EmptyS e:nat)"):
+    for x in items:
+        empty = f"(app (app (tapp InsertS e:nat) {x}) {empty})"
+    return empty
+
+
+def _fold(base, step, scrutinee):
+    return f"(app (app (app (tapp (tapp FoldS e:nat) e:nat) {base}) {step}) {scrutinee})"
+
+
+_SET_REDEX = "(app (lam (s (set e:nat)) (app (app (tapp InsertS e:nat) Zero) s)) (tapp EmptyS e:nat))"
+
+# Recursor terms whose scrutinees, bases and steps reduce in every order that
+# matters to leftmost-outermost reduction, by name.
+RECURSOR_CORPUS = {
+    "scrutinee-headed-after-beta":
+        _rec("e:nat", "Zero", _SUCC, f"(app {_ID} (app Succ (app {_ID} (app Succ Zero))))"),
+    "scrutinee-is-a-stuck-recursor":
+        _rec("e:nat", "Zero", _SUCC, _rec("e:nat", "(app Succ Zero)", _SUCC, f"(app {_ID} (app Succ Zero))")),
+    "reducible-base-and-step":
+        _rec("e:nat", f"(app {_ID} Zero)", f"(app (lam (f (-> e:nat (-> e:nat e:nat))) f) {_SUCC})",
+             _numeral(2)),
+    "recursor-at-function-type":
+        "(app " + _rec("(-> e:nat e:nat)", _ID,
+                       "(lam (k e:nat) (lam (f (-> e:nat e:nat)) (lam (x e:nat) (app Succ (app f x)))))",
+                       f"(app {_ID} {_numeral(2)})") + f" (app {_ID} Zero))",
+    "fold-over-a-redex-set":
+        _fold("Zero", _SUCC, _set([f"(app {_ID} Zero)"], _SET_REDEX)),
+    "fresh-renaming":
+        "(lam (y e:nat) (app (lam (x e:nat) (lam (y e:nat) "
+        + _rec("e:nat", "x", _SUCC, "y") + ")) (app Succ y)))",
+    "predecessor-used-twice":
+        _rec("e:nat", "Zero",
+             "(lam (k e:nat) (lam (a e:nat) "
+             + _rec("e:nat", "k", "(lam (j e:nat) (lam (b e:nat) (app Succ b)))", "k") + "))",
+             f"(app {_ID} (app Succ (app {_ID} (app Succ Zero))))"),
+    "element-used-twice":
+        _fold("Zero", "(lam (x e:nat) (lam (a e:nat) " + _rec("e:nat", "x", _SUCC, "x") + "))",
+              f"(app (lam (s (set e:nat)) s) {_set(['Zero', f'(app {_ID} (app Succ Zero))'])})"),
+    "add": f"(app (app {_ADD} {_numeral(3)}) {_numeral(4)})",
+    "mul": f"(app (app {_MUL} {_numeral(3)}) {_numeral(2)})",
+    "fold-count": _fold("Zero", _SUCC, _set([_numeral(i) for i in (2, 0, 1)])),
+}
+
+
+def _recursor_signature():
+    return register_finset(register_nat(builtin_signature()))
+
+
+def test_shared_normal_forms_match_kernel_on_recursor_corpus():
+    sig = _recursor_signature()
+    _assert_memo_agrees([parse_term(text, sig) for text in RECURSOR_CORPUS.values()], sig)
+
+
+@pytest.mark.parametrize("strategy", [LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST])
+@pytest.mark.parametrize("name", RECURSOR_CORPUS)
+def test_normalize_contracts_what_the_stepper_contracts(name, strategy, monkeypatch):
+    # every reduce_once call that normalize makes contracts a redex, and it
+    # makes as many as the plain stepper contracts
+    sig, text = _recursor_signature(), RECURSOR_CORPUS[name]
+    steps, term = 0, parse_term(text, sig)
+    while (term := reduce_once(term, sig, strategy)) is not None:
+        steps += 1
+    calls = []
+    step = kernel.reduce_once
+    monkeypatch.setattr(kernel, "reduce_once", lambda *args: calls.append(step(*args)) or calls[-1])
+    normalize(parse_term(text, sig), sig, strategy=strategy)
+    assert None not in calls
+    assert len(calls) == steps > 0
+
+
 @pytest.mark.parametrize("text", [
     "(app barks b)",
     "(app (app ∧ (app barks rex)) (app barks b))",

@@ -183,6 +183,17 @@ def test_large_numerals_normalize_within_fuel(nsig):
     assert numeral_value(out) == 64
 
 
+def test_long_addition_normalises_within_the_recursion_limit(nsig):
+    # the normaliser recurses once per Succ of the result; a RecursionError
+    # is caught here so that its deep traceback is never formatted
+    add = _add_term(nsig)
+    try:
+        out = normalize(App(App(add, numeral(400)), numeral(400)), nsig).term
+    except RecursionError:
+        out = None
+    assert numeral_value(out) == 800
+
+
 def test_fold_sum_against_sum_oracle(nsig):
     # a fold that uses the element: sum of a set matches the list oracle
     add = _add_term(nsig)

@@ -1,11 +1,13 @@
 """Typing, substitution, reduction and eta-long forms."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from polysem import kernel
-from polysem.errors import TypeMismatch, UnboundVariable
+from polysem.errors import FuelExhausted, TypeMismatch, UnboundVariable
 from polysem.kernel import (
     EMPTY_CONTEXT,
     LEFTMOST_OUTERMOST,
@@ -32,6 +34,7 @@ from polysem.syntax import (
     Forall,
     Lam,
     PROP,
+    Term,
     TyApp,
     TyLam,
     TyVar,
@@ -175,12 +178,51 @@ def test_book_sentence_normal_form(sig):
 
 
 def test_fuel_exhaustion_is_diagnostic(sig):
-    from polysem.errors import FuelExhausted
-
     m = parse_term("(app (lam (x t) x) (app (lam (y t) y) p))", sig)
     with pytest.raises(FuelExhausted):
         normalize(m, sig, fuel=1)
     assert normalize(m, sig, fuel=2).term == sig.const("p")
+
+
+def test_fuel_counts_the_contractions_of_the_whole_call(sig):
+    # each argument of ∧ is normalised on its own, with one contraction each
+    text = "(app (app ∧ (app (lam (x t) x) p)) (app (lam (y t) y) q))"
+    with pytest.raises(FuelExhausted, match="no normal form within 1 steps"):
+        normalize(parse_term(text, sig), sig, fuel=1)
+    assert print_term(normalize(parse_term(text, sig), sig, fuel=2).term) == "(app (app ∧ p) q)"
+
+
+@pytest.mark.parametrize("strategy", [LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST])
+def test_normal_parts_come_back_as_the_same_objects(sig, strategy):
+    term = parse_term("(app (app ∧ p) (app (app ∧ q) p))", sig)
+    out = normalize(term, sig, strategy=strategy).term
+    assert out is term and out.fn is term.fn and out.arg is term.arg
+    term = parse_term("(app (app ∧ p) (app (lam (x t) x) (app (app ∧ q) p)))", sig)
+    out = normalize(term, sig, strategy=strategy).term
+    assert out.fn is term.fn and out.arg is term.arg.arg
+
+
+def _nodes(term):
+    yield term
+    for child in ("fn", "arg", "body"):
+        if isinstance(getattr(term, child, None), Term):
+            yield from _nodes(getattr(term, child))
+
+
+@pytest.mark.parametrize("strategy", [LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST])
+def test_normal_forms_hold_no_reference_cycle(sig, strategy):
+    # with the cyclic collector off, reference counting alone frees every
+    # node of a term and of its normal form once they are dropped
+    texts = ["(app (app ∧ p) (app (app ∧ q) p))", "(app (app ∧ p) (app (lam (x t) x) (app (app ∧ q) p)))"]
+    gc.disable()
+    try:
+        terms = [parse_term(text, sig) for text in texts]
+        refs = [weakref.ref(node) for term in terms
+                for node in (*_nodes(term), *_nodes(normalize(term, sig, strategy=strategy).term))]
+        del terms
+        assert sum(ref() is not None for ref in refs) == 0
+    finally:
+        gc.enable()
 
 
 def test_unknown_strategy_is_rejected_without_a_redex(sig):
