@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Time the composer on tree ontologies of 80 to 640 sorts, and count the
+arrow lifts it builds.
+
+    python3 scripts/ontology_scaling.py [max_sorts] [seed]    # default 640, 1
+
+Each ontology has the shape of perfbench's `ontology` workload: sort i is
+coerced to one of the 4 sorts declared just before it, so paths are tens of
+edges long.  Its trees are (NODE (LEAF q_k) (LEAF p_j)), 40 with k drawn
+below j (one arrow lift along the path from k up to j) and 10 with k outside
+j's subtree (NoPath), as in one perfbench cycle.  A tree runs as perfbench
+runs it: `compose`, then `diagnose` when there is no analysis.
+
+One JSON line per size: the mean over the trees of each tree's best of 3
+times, and the `coercion._lift` calls (lift terms built) per tree.
+"""
+
+import json
+import pathlib
+import random
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import PARENT_WINDOW, Ontology  # noqa: E402
+from polysem import coercion, composer  # noqa: E402
+from polysem.lexicon import load_lexicon  # noqa: E402
+
+SIZES, REPEATS, WITH_PATH, WITHOUT_PATH = (80, 160, 320, 640), 3, 40, 10
+
+
+def ontology(n, rng):
+    parent = [None] + [max(0, i - rng.randint(1, PARENT_WINDOW)) for i in range(1, n)]
+    onto = Ontology(tuple(parent))
+    above = [onto.ancestors(k) for k in range(n)]
+    below = [(k, j) for k in range(n) for j in above[k]]
+    unrelated = [(k, j) for k in range(n) for j in range(n) if k != j and j not in above[k]]
+    pairs = rng.sample(below, WITH_PATH) + rng.sample(unrelated, WITHOUT_PATH)
+    trees = [composer.parse_tree(f"(NODE (LEAF q{k}) (LEAF p{j}))") for k, j in pairs]
+    return onto.lexicon(), sum(map(len, above)) / n, trees
+
+
+def run(tree, lex):
+    if not composer.compose(tree, lex):
+        composer.diagnose(tree, lex)
+
+
+def main():
+    max_sorts = int(sys.argv[1]) if len(sys.argv) > 1 else SIZES[-1]
+    rng = random.Random(int(sys.argv[2]) if len(sys.argv) > 2 else 1)
+    lift, lifts = coercion._lift, []
+    for n in (n for n in SIZES if n <= max_sorts):
+        text, mean_depth, trees = ontology(n, rng)
+        lex = load_lexicon(text)
+        best = []
+        for tree in trees:
+            times = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                run(tree, lex)
+                times.append(time.perf_counter() - start)
+            best.append(min(times))
+        coercion._lift = lambda *args: lifts.append(None) or lift(*args)
+        try:
+            del lifts[:]
+            for tree in trees:
+                run(tree, lex)
+        finally:
+            coercion._lift = lift
+        print(json.dumps({"sorts": n, "trees": len(trees),
+                          "mean_depth": mean_depth,
+                          "ms_per_tree": round(1e3 * sum(best) / len(best), 4),
+                          "lifts_per_tree": len(lifts) / len(trees)}))
+
+
+if __name__ == "__main__":
+    main()

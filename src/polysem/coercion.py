@@ -300,3 +300,34 @@ def coercion_targets(g: CoercionGraph, ty: Type) -> list[tuple[Term, Type]]:
                     if c is not None or d is not None]
         case _:
             return []
+
+
+def coercion_to(g: CoercionGraph, ty: Type, goal: Type) -> Optional[tuple[Term, Type]]:
+    """The entry of coercion_targets(g, ty) whose type alpha-equals `goal`,
+    or None, read off the path table without enumerating.  The entry is
+    unique only on a coherent graph, so that is required."""
+    if not g.coherence.ok:
+        raise IncoherentGraph("coercion_to requires a coherent graph")
+    match ty, goal:
+        case Base(sort), Base(target) if sort.kind == "entity":
+            path = g.path(sort, target)
+            return None if path is None else (compose_path(path), goal)
+        case Arrow(dom, cod), Arrow(new_dom, new_cod):
+            c = d = None
+            if new_dom != dom:
+                if not (isinstance(dom, Base) and dom.sort.kind == "entity"
+                        and isinstance(new_dom, Base)):
+                    return None
+                path = g.path(new_dom.sort, dom.sort)
+                if path is None:
+                    return None
+                c, dom = compose_path(path), Base(new_dom.sort)
+            if new_cod != cod:
+                found = coercion_to(g, cod, new_cod)
+                if found is None:
+                    return None
+                d, cod = found
+            elif c is None:
+                return None
+            return _lift(ty, dom, c, d), Arrow(dom, cod)
+    return None

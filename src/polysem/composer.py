@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .coercion import coerce_app, coercion_targets, find_coercion
+from .coercion import coerce_app, coercion_targets, coercion_to, find_coercion
 from .errors import IllFormedType, ParseError
 from .kernel import (
     match_type,
@@ -47,6 +47,7 @@ from .syntax import (
     Var,
     canon_term,
     check_wf_type,
+    free_tyvars,
     fresh_name,
     parse_sexpr,
     print_type,
@@ -270,11 +271,18 @@ class _Search:
                         and tr.ty.domain == domain):
                     yield Use(tr.label, rigidity, "transfer"), tr.term, tr.ty.codomain
 
-    def arg_adaptations(self, arg: _Cand) -> list[_Adaptation]:
+    def arg_adaptations(self, arg: _Cand, dom: Type, binders: list[str]) -> list[_Adaptation]:
         # plain consumption is not an adaptation and records nothing;
-        # the identity only counts as a MAIN use when it fills a view slot
+        # the identity only counts as a MAIN use when it fills a view slot.
+        # A domain free of the binders is ground, and on a coherent graph at
+        # most one coercion out of the argument's type reaches it.
         out = [_Adaptation(None, None, arg.ty)]
-        for co, target in coercion_targets(self.graph, arg.ty):
+        if free_tyvars(dom).isdisjoint(binders):
+            found = coercion_to(self.graph, arg.ty, dom)
+            graph = [] if found is None else [found]
+        else:
+            graph = coercion_targets(self.graph, arg.ty)
+        for co, target in graph:
             out.append(_Adaptation(_graph_use(arg.ty, target), co, target))
         out.extend(_Adaptation(*tr) for tr in self.transfers(arg, arg.ty))
         return out
@@ -334,7 +342,7 @@ class _Search:
         if dom is None:
             self.failures.append(Failure(node_path, "NotFunction", fn.ty, None))
             return []
-        adaptations = self.arg_adaptations(arg) if allow_arg_adapt else \
+        adaptations = self.arg_adaptations(arg, dom, binders) if allow_arg_adapt else \
             [_Adaptation(None, None, arg.ty)]
         occ = arg.head or Occurrence(node_path + (1,), None)
         matched_any = False

@@ -23,6 +23,7 @@ from polysem.coercion import (
     coerce_app,
     compose_path,
     coercion_targets,
+    coercion_to,
     find_coercion,
     sort_coercions,
 )
@@ -45,6 +46,7 @@ from polysem.syntax import (
     parse_term,
     parse_type,
     print_term,
+    print_type,
 )
 
 
@@ -172,6 +174,19 @@ def test_find_requires_coherence():
     sig = _sig_for(g)
     with pytest.raises(IncoherentGraph):
         find_coercion(g, sig, etype("a"), etype("b"))
+
+
+@pytest.mark.parametrize("edges", [
+    (("one", "a", "b"), ("two", "a", "b")),    # two paths a ~> b
+    (("up", "a", "b"), ("down", "b", "a")),    # a cycle
+])
+def test_coercion_to_requires_coherence(edges):
+    # the lookup's one answer agrees with enumeration only under coherence
+    g = _graph(*edges)
+    for ty, goal in ((etype("a"), etype("b")), (etype("c"), etype("d")),
+                     (Arrow(etype("b"), PROP), Arrow(etype("a"), PROP))):
+        with pytest.raises(IncoherentGraph):
+            coercion_to(g, ty, goal)
 
 
 def test_find_no_path(lex):
@@ -456,6 +471,38 @@ def test_path_table_matches_seed_pairwise_enumeration():
             pred = Arrow(Base(sort), PROP)
             assert _printed(coercion_targets(g, pred)) == _printed(_seed_arrow_targets(g, pred))
     assert min(seen.values()) >= 20, seen  # the family exercises every outcome
+
+
+def _shapes(sorts):
+    """Every type of the shapes e:a, (-> e:a t), (-> e:a e:b) and
+    (-> e:a (-> e:b t)) over `sorts`, one list per shape."""
+    bases = [Base(s) for s in sorts]
+    return [bases,
+            [Arrow(a, PROP) for a in bases],
+            [Arrow(a, b) for a in bases for b in bases],
+            [Arrow(a, Arrow(b, PROP)) for a in bases for b in bases]]
+
+
+def test_coercion_to_is_the_matching_enumerated_target():
+    rng = random.Random(2013)
+    found = checked = 0
+    for _ in range(300):
+        g = _random_multigraph(rng, rng.randrange(2, 11))
+        if not check_coherence(g).ok:
+            continue
+        for shape in _shapes(sorted(g.nodes, key=str)):
+            for ty in shape:
+                targets = {}
+                for term, target in coercion_targets(g, ty):
+                    assert target not in targets  # at most one entry per type
+                    targets[target] = (print_term(term), print_type(target))
+                for goal in shape:
+                    out = coercion_to(g, ty, goal)
+                    printed = None if out is None else (print_term(out[0]), print_type(out[1]))
+                    assert printed == targets.get(goal), (ty, goal)
+                    found += out is not None
+                    checked += 1
+    assert found > 5_000 and checked > 10 * found  # goals with and without a path
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 import networkx as nx
 import pytest
 
-from polysem import kernel
+from polysem import coercion, composer, kernel
 from polysem.composer import (
     Leaf,
     MAIN,
@@ -758,3 +758,89 @@ def test_compose_normalises_each_conjunct_once(k, monkeypatch):
 
     one = contractions_for(1)
     assert 0 < contractions_for(16) <= 2 * one
+
+
+# ---------------------------------------------------------------------------
+# goal-directed coercion: a ground domain looks up its one coercion
+
+
+def _tree_ontology(rng, n=80):
+    """A tree of n sorts in which each sort is coerced to one of the 4 sorts
+    declared just before it, so paths are tens of edges long.  Returns the
+    lexicon and the trees (NODE (LEAF q_k) (LEAF p_j)), which need an arrow
+    lift: 40 with k below j, 5 with k = j and 10 with k outside j's subtree,
+    then 10 trees (NODE (LEAF p_j) (LEAF a_k)) with k below j."""
+    parent = [None] + [max(0, i - rng.randint(1, 4)) for i in range(1, n)]
+    lines = []
+    for i, p in enumerate(parent):
+        lines.append(f"sort e:s{i}")
+        if p is not None:
+            lines.append(f"coercion c{i} : e:s{i} -> e:s{p}")
+    for i in range(n):
+        lines += [f"const P{i} : (-> e:s{i} t)", f"const Q{i} : (-> (-> e:s{i} t) t)",
+                  f"const a{i} : e:s{i}",
+                  f"word p{i} main P{i}", f"word q{i} main Q{i}", f"word a{i} main a{i}"]
+
+    def above(k):
+        while parent[k] is not None:
+            k = parent[k]
+            yield k
+
+    below = [(k, j) for k in range(n) for j in above(k)]
+    unrelated = [(k, j) for k in range(n) for j in range(n) if k != j and j not in set(above(k))]
+    lifts = [f"(NODE (LEAF q{k}) (LEAF p{j}))" for k, j in
+             rng.sample(below, 40) + [(k, k) for k in rng.sample(range(n), 5)]
+             + rng.sample(unrelated, 10)]
+    bases = [f"(NODE (LEAF p{j}) (LEAF a{k}))" for k, j in rng.sample(below, 10)]
+    return load_lexicon("\n".join(lines) + "\n"), [parse_tree(t) for t in lifts + bases]
+
+
+def _goal_corpus(lex, fixture_dir):
+    onto_lex, onto_trees = _tree_ontology(random.Random(80))
+    oracle_lex = load_lexicon(ORACLE_LEXICON)
+    return ([(onto_lex, t) for t in onto_trees]
+            + [(lex, t) for t in parse_trees((fixture_dir / "trees.txt").read_text())]
+            + [(oracle_lex, parse_tree(t)) for t in ORACLE_TREES])
+
+
+def _outcome(tree, lex):
+    analyses = [(print_term(a.term), print_term(a.normal_term), print_type(a.result_type),
+                 a.labels(), [(str(o), print_term(t)) for o, t in a.inserted_coercions])
+                for a in compose(tree, lex)]
+    return analyses, [(f.describe(), f.path) for f in diagnose(tree, lex).failures]
+
+
+def test_coercion_lookup_agrees_with_enumeration(lex, fixture_dir, monkeypatch):
+    corpus = _goal_corpus(lex, fixture_dir)
+    looked_up = [_outcome(tree, tree_lex) for tree_lex, tree in corpus]
+
+    def by_enumeration(g, ty, goal):
+        found = [entry for entry in coercion.coercion_targets(g, ty) if entry[1] == goal]
+        assert len(found) <= 1
+        return found[0] if found else None
+
+    monkeypatch.setattr(composer, "coercion_to", by_enumeration)
+    assert [_outcome(tree, tree_lex) for tree_lex, tree in corpus] == looked_up
+    assert sum(bool(analyses) for analyses, _ in looked_up) > 50
+    assert sum(bool(failures) for _, failures in looked_up) > 10
+
+
+def test_ground_domain_builds_one_lift_and_enumerates_nothing(lex, monkeypatch):
+    enumerated, lifted = [], []
+    targets, lift = composer.coercion_targets, coercion._lift
+    monkeypatch.setattr(composer, "coercion_targets",
+                        lambda g, ty: enumerated.append(ty) or targets(g, ty))
+    monkeypatch.setattr(coercion, "_lift", lambda *args: lifted.append(args) or lift(*args))
+    onto_lex, trees = _tree_ontology(random.Random(80))
+    with_lift = 0
+    for tree in trees:
+        analyses = compose(tree, onto_lex)
+        diagnose(tree, onto_lex)
+        with_lift += any(isinstance(t, Lam) and isinstance(t.body, Lam)  # lam f. lam x. ...
+                         for a in analyses for _, t in a.inserted_coercions)
+    assert enumerated == []
+    # compose and diagnose each search once and build the one lift they use
+    assert with_lift == 40 and len(lifted) == 2 * with_lift
+    # the polymorphic conjunction's domain still enumerates
+    compose(parse_tree(BOOK_TREE), lex)
+    assert enumerated
