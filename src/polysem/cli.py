@@ -21,7 +21,7 @@ import sys
 from typing import Iterator, Optional
 
 from .composer import _compose_with_failures, parse_trees
-from .errors import IllFormedType, ParseError, PolysemError, UnknownWord
+from .errors import FuelExhausted, IllFormedType, ParseError, PolysemError, UnknownWord
 from .hol import SEXPR, classify, extract_formula, print_formula
 from .kernel import (
     EMPTY_CONTEXT,
@@ -214,7 +214,7 @@ def cmd_compose(args) -> int:
         try:
             analyses, diagnosis = _compose_with_failures(tree, lex, args.limit)
             diag = diagnosis.describe() or "no candidates"
-        except (UnknownWord, IllFormedType) as e:
+        except (UnknownWord, IllFormedType, FuelExhausted) as e:
             analyses, diag = [], str(e)
         item = {"tree": k, "ok": bool(analyses), "analyses": []}
         lines = [f"tree {k}: {len(analyses)} analysis(es)"]

@@ -154,7 +154,9 @@ class LogicProfile:
 
 def extract_formula(m: Union[NormalForm, Term], sig: Signature) -> Formula:
     """Read a closed eta-long beta-normal term of type t as a formula; the
-    reading is invertible (see formula_to_term)."""
+    reading is invertible (see formula_to_term).  Such a term is a canonical
+    form, so the checks below leave the reader only variable-headed spines
+    (and choice terms applied further) to refuse."""
     term = m.term if isinstance(m, NormalForm) else m
     if free_vars(term):
         raise NotNormal(f"term is not closed: free {sorted(free_vars(term))}")
@@ -166,41 +168,22 @@ def extract_formula(m: Union[NormalForm, Term], sig: Signature) -> Formula:
     # is_eta_long without typechecking the term again
     if _eta(term, ty, sig, EMPTY_CONTEXT) != term:
         raise NotNormal("term is not eta-long")
-    return _read_formula(term, sig)
+    return _read_formula(term)
 
 
-def _read_formula(term: Term, sig: Signature) -> Formula:
+def _read_formula(term: Term) -> Formula:
     head, elims = spine(term)
-    match head:
-        case Const(name, _) if name in _CONN_CONSTANTS:
-            want = 1 if name == "¬" else 2
-            if len(elims) != want or any(isinstance(e, Type) for e in elims):
-                raise NotNormal(f"connective {name} is not saturated")
-            return Conn(_CONN_CONSTANTS[name],
-                        tuple(_read_formula(e, sig) for e in elims))
-        case Const(name, _) if name in _QUANT_CONSTANTS:
-            ty_arg, body_fn = _binder_elims(name, elims)
-            return Quant(_QUANT_CONSTANTS[name], body_fn.binder, ty_arg,
-                         _read_formula(body_fn.body, sig))
-        case Const(name, declared):
-            return Atom(name, declared,
-                        *_read_const_args(name, declared, elims, sig))
-        case Var(name):
-            raise UnexpectedHead(f"variable-headed spine: {name}")
-    raise UnexpectedHead(f"cannot read head {head!r} as a formula")
+    if isinstance(head, Var):
+        raise UnexpectedHead(f"variable-headed spine: {head.name}")
+    if head.name in _CONN_CONSTANTS:
+        return Conn(_CONN_CONSTANTS[head.name], tuple(_read_formula(e) for e in elims))
+    if head.name in _QUANT_CONSTANTS:
+        ty_arg, scope = elims
+        return Quant(_QUANT_CONSTANTS[head.name], scope.binder, ty_arg, _read_formula(scope.body))
+    return Atom(head.name, head.declared_type, *_read_const_args(head.declared_type, elims))
 
 
-def _binder_elims(name: str, elims) -> tuple[Type, Lam]:
-    if len(elims) != 2 or not isinstance(elims[0], Type):
-        raise NotNormal(f"{name} must be type-instantiated and applied once")
-    body_fn = elims[1]
-    if not isinstance(body_fn, Lam):
-        raise NotNormal(f"the scope of {name} must be an abstraction (eta-long)")
-    return elims[0], body_fn
-
-
-def _read_const_args(name: str, declared: Type, elims, sig
-                     ) -> tuple[tuple[Type, ...], tuple[HolTerm, ...]]:
+def _read_const_args(declared: Type, elims) -> tuple[tuple[Type, ...], tuple[HolTerm, ...]]:
     """Walk the constant's type along its eliminations, reading each term
     argument at the expected domain type."""
     ty_args: list[Type] = []
@@ -208,53 +191,41 @@ def _read_const_args(name: str, declared: Type, elims, sig
     cur = declared
     for e in elims:
         if isinstance(e, Type):
-            if not isinstance(cur, Forall):
-                raise NotNormal(f"excess type argument on {name}")
             ty_args.append(e)
             cur = subst_type(cur.body, cur.binder, e)
         else:
-            if not isinstance(cur, Arrow):
-                raise NotNormal(f"excess argument on {name}")
-            args.append(_read_holterm(e, cur.domain, sig))
+            args.append(_read_holterm(e, cur.domain))
             cur = cur.codomain
-    if isinstance(cur, (Arrow, Forall)):
-        raise NotNormal(f"{name} is not saturated (eta-long forms are)")
     return tuple(ty_args), tuple(args)
 
 
-def _read_holterm(term: Term, expected: Type, sig: Signature) -> HolTerm:
+def _read_holterm(term: Term, expected: Type) -> HolTerm:
     if expected == PROP:
-        return Embed(_read_formula(term, sig))
+        return Embed(_read_formula(term))
     match expected:
         case Arrow(dom, cod):
-            if not isinstance(term, Lam):
-                raise NotNormal("functional argument is not an abstraction (eta-long)")
-            return HAbs(term.binder, dom, _read_at(term.body, cod, sig))
+            return HAbs(term.binder, dom, _read_at(term.body, cod))
         case Forall(binder, body_ty):
-            if not isinstance(term, TyLam):
-                raise NotNormal("polymorphic argument is not a type abstraction (eta-long)")
             inner_ty = subst_type(body_ty, binder, TyVar(term.binder))
-            return HTyAbs(term.binder, _read_at(term.body, inner_ty, sig))
+            return HTyAbs(term.binder, _read_at(term.body, inner_ty))
     head, elims = spine(term)
-    match head:
-        case Var(name):
-            if elims:
-                raise UnexpectedHead(f"variable-headed spine: {name}")
-            return HVar(name, expected)
-        case Const(name, declared) if name in _HILBERT_CONSTANTS:
-            ty_arg, body_fn = _binder_elims(name, elims)
-            return Hilbert(_HILBERT_CONSTANTS[name], body_fn.binder, ty_arg,
-                           _read_formula(body_fn.body, sig))
-        case Const(name, declared):
-            ty_args, args = _read_const_args(name, declared, elims, sig)
-            return ConstApp(name, declared, ty_args, args)
-    raise UnexpectedHead(f"cannot read head {head!r} as a term")
+    if isinstance(head, Var):
+        if elims:
+            raise UnexpectedHead(f"variable-headed spine: {head.name}")
+        return HVar(head.name, expected)
+    if head.name in _HILBERT_CONSTANTS:
+        # at an arrow or a quantified type, a choice term takes further arguments
+        if len(elims) != 2:
+            raise NotNormal(f"{head.name} must be type-instantiated and applied once")
+        ty_arg, scope = elims
+        return Hilbert(_HILBERT_CONSTANTS[head.name], scope.binder, ty_arg, _read_formula(scope.body))
+    return ConstApp(head.name, head.declared_type, *_read_const_args(head.declared_type, elims))
 
 
-def _read_at(term: Term, expected: Type, sig) -> Union[HolTerm, Formula]:
+def _read_at(term: Term, expected: Type) -> Union[HolTerm, Formula]:
     if expected == PROP:
-        return _read_formula(term, sig)
-    return _read_holterm(term, expected, sig)
+        return _read_formula(term)
+    return _read_holterm(term, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -98,79 +98,64 @@ def subst_type(ty: Type, var: str, replacement: Type) -> Type:
 
 
 def substitute(term: Term, var: str, replacement: Term) -> Term:
-    """Capture-avoiding term substitution [var := replacement]."""
-    fv = None  # computed lazily; replacement is often closed
-
-    def go(t: Term) -> Term:
-        nonlocal fv
-        match t:
-            case Var(name):
-                return replacement if name == var else t
-            case Const():
-                return t
-            case Lam(binder, binder_type, body):
-                if binder == var:
-                    return t
-                if var not in free_vars(body):
-                    return t
-                if fv is None:
-                    fv = free_vars(replacement)
-                if binder in fv:
-                    fresh = fresh_name(binder, fv | free_vars(body) | {var})
-                    body = substitute(body, binder, Var(fresh))
-                    binder = fresh
-                return Lam(binder, binder_type, go(body))
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case TyLam(binder, body):
-                if var not in free_vars(body):
-                    return t
-                if fv is None:
-                    fv = free_vars(replacement)
-                ftv = free_tyvars_in_term(replacement)
-                if binder in ftv:
-                    fresh = fresh_name(binder, ftv | free_tyvars_in_term(body))
-                    body = substitute_ty(body, binder, TyVar(fresh))
-                    binder = fresh
-                return TyLam(binder, go(body))
-            case TyApp(fn, ty_arg):
-                return TyApp(go(fn), ty_arg)
-        raise TypeError(f"not a Term: {t!r}")
-
-    out = go(term)
-    del go  # go reaches itself through its closure: break that cycle now
-    return out
+    """Capture-avoiding term substitution [var := replacement].  A subterm in
+    which `var` is not free comes back as the same object, so a binder is
+    renamed only when `var` occurs under it and the replacement would be
+    captured."""
+    match term:
+        case Var(name):
+            return replacement if name == var else term
+        case Const():
+            return term
+        case Lam(binder, binder_type, body):
+            if binder == var or (out := substitute(body, var, replacement)) is body:
+                return term
+            if binder in (fv := free_vars(replacement)):
+                # the replacement would be captured: substitute again under a fresh name
+                fresh = fresh_name(binder, fv | free_vars(body) | {var})
+                out = substitute(substitute(body, binder, Var(fresh)), var, replacement)
+                binder = fresh
+            return Lam(binder, binder_type, out)
+        case App(fn, arg):
+            f, a = substitute(fn, var, replacement), substitute(arg, var, replacement)
+            return term if f is fn and a is arg else App(f, a)
+        case TyLam(binder, body):
+            if (out := substitute(body, var, replacement)) is body:
+                return term
+            if binder in (ftv := free_tyvars_in_term(replacement)):
+                fresh = fresh_name(binder, ftv | free_tyvars_in_term(body))
+                out = substitute(substitute_ty(body, binder, TyVar(fresh)), var, replacement)
+                binder = fresh
+            return TyLam(binder, out)
+        case TyApp(fn, ty_arg):
+            f = substitute(fn, var, replacement)
+            return term if f is fn else TyApp(f, ty_arg)
+    raise TypeError(f"not a Term: {term!r}")
 
 
 def substitute_ty(term: Term, var: str, replacement: Type) -> Term:
     """Capture-avoiding type substitution [var := replacement] inside a term."""
-
-    def go(t: Term) -> Term:
-        match t:
-            case Var():
-                return t
-            case Const():
-                # constant types are closed over the signature's sorts
-                return t
-            case Lam(binder, binder_type, body):
-                return Lam(binder, subst_type(binder_type, var, replacement), go(body))
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case TyLam(binder, body):
-                if binder == var:
-                    return t
-                if binder in free_tyvars(replacement) and var in free_tyvars_in_term(body):
-                    fresh = fresh_name(binder, free_tyvars(replacement) | free_tyvars_in_term(body) | {var})
-                    body = substitute_ty(body, binder, TyVar(fresh))
-                    binder = fresh
-                return TyLam(binder, go(body))
-            case TyApp(fn, ty_arg):
-                return TyApp(go(fn), subst_type(ty_arg, var, replacement))
-        raise TypeError(f"not a Term: {t!r}")
-
-    out = go(term)
-    del go  # as in substitute
-    return out
+    match term:
+        case Var():
+            return term
+        case Const():
+            # constant types are closed over the signature's sorts
+            return term
+        case Lam(binder, binder_type, body):
+            return Lam(binder, subst_type(binder_type, var, replacement), substitute_ty(body, var, replacement))
+        case App(fn, arg):
+            return App(substitute_ty(fn, var, replacement), substitute_ty(arg, var, replacement))
+        case TyLam(binder, body):
+            if binder == var:
+                return term
+            if binder in free_tyvars(replacement) and var in free_tyvars_in_term(body):
+                fresh = fresh_name(binder, free_tyvars(replacement) | free_tyvars_in_term(body) | {var})
+                body = substitute_ty(body, binder, TyVar(fresh))
+                binder = fresh
+            return TyLam(binder, substitute_ty(body, var, replacement))
+        case TyApp(fn, ty_arg):
+            return TyApp(substitute_ty(fn, var, replacement), subst_type(ty_arg, var, replacement))
+    raise TypeError(f"not a Term: {term!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -543,22 +528,18 @@ def expand_definitions(term: Term, sig: Signature) -> Term:
     closed and non-recursive, so one bottom-up pass suffices."""
     if not sig.definitions:
         return term
-
-    def go(t: Term) -> Term:
-        match t:
-            case Const(name, _):
-                d = sig.definitions.get(name)
-                return go(d) if d is not None else t
-            case Var():
-                return t
-            case Lam(binder, binder_type, body):
-                return Lam(binder, binder_type, go(body))
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case TyLam(binder, body):
-                return TyLam(binder, go(body))
-            case TyApp(fn, ty_arg):
-                return TyApp(go(fn), ty_arg)
-        raise TypeError(f"not a Term: {t!r}")
-
-    return go(term)
+    match term:
+        case Const(name, _):
+            d = sig.definitions.get(name)
+            return expand_definitions(d, sig) if d is not None else term
+        case Var():
+            return term
+        case Lam(binder, binder_type, body):
+            return Lam(binder, binder_type, expand_definitions(body, sig))
+        case App(fn, arg):
+            return App(expand_definitions(fn, sig), expand_definitions(arg, sig))
+        case TyLam(binder, body):
+            return TyLam(binder, expand_definitions(body, sig))
+        case TyApp(fn, ty_arg):
+            return TyApp(expand_definitions(fn, sig), ty_arg)
+    raise TypeError(f"not a Term: {term!r}")

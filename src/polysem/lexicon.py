@@ -45,7 +45,6 @@ from .syntax import (
     arrows,
     check_wf_type,
     entity_sort,
-    free_tyvars,
     parse_term,
     parse_type,
     print_term,
@@ -132,8 +131,6 @@ def _closed_typed(term_txt: str, sig: Signature, word: str) -> tuple[Term, Type]
         ty = typecheck(term, sig, EMPTY_CONTEXT)
     except PolysemError as e:
         raise TypeErrorInEntry(word, e) from None
-    if free_tyvars(ty):
-        raise TypeErrorInEntry(word, LexiconError(f"type {ty} of entry term is not closed"))
     return term, ty
 
 
@@ -242,6 +239,9 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
         if not all(isinstance(end, Base) and end.sort.kind == "entity" for end in (src, dst)):
             fail(ParseError("coercion endpoints must be entity sorts", lineno, 1))
             continue
+        if src == dst:
+            fail(ParseError("coercion endpoints must be distinct sorts", lineno, 1))
+            continue
         if name in sig.constants or name in new_consts:
             fail(ParseError(f"duplicate constant {name}", lineno, 1))
             continue
@@ -261,7 +261,6 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             continue
         new_consts[name] = ty
     sig = sig.extend(constants=new_consts)
-    sig.validate()
 
     graph = CoercionGraph(tuple(edges))
     report = check_coherence(graph)

@@ -447,26 +447,6 @@ class Signature:
     def entity_sorts(self) -> list[Sort]:
         return sorted((s for s in self.sorts if s.kind == "entity"), key=lambda s: s.name)
 
-    def validate(self) -> None:
-        """Check every constant type is closed and well-formed, and that the
-        distinguished logical constants carry exactly their required types."""
-        for name, ty in self.constants.items():
-            check_wf_type(ty, self.sorts, frozenset(), (name,))
-        required = {
-            "∧": arrows(PROP, PROP, PROP),
-            "¬": Arrow(PROP, PROP),
-            "⊃": arrows(PROP, PROP, PROP),
-            "∀": Forall("a", Arrow(Arrow(TyVar("a"), PROP), PROP)),
-            "∃": Forall("a", Arrow(Arrow(TyVar("a"), PROP), PROP)),
-            "ε": Forall("a", Arrow(Arrow(TyVar("a"), PROP), TyVar("a"))),
-            "τ": Forall("a", Arrow(Arrow(TyVar("a"), PROP), TyVar("a"))),
-        }
-        for name, expected in required.items():
-            if name in self.constants and self.constants[name] != expected:
-                raise IllFormedType(
-                    f"constant {name} must have type {expected}, has {self.constants[name]}"
-                )
-
 
 # ---------------------------------------------------------------------------
 # S-expression reader

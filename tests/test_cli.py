@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from polysem import composer, kernel
 from polysem.cli import main, search_false
 from polysem.kernel import typecheck
 from polysem.lexicon import builtin_signature
@@ -77,6 +78,19 @@ def test_lexicon_check_diamond_witness_paths(capsys, tmp_path):
     assert "bp" in out and "po" in out and "bi" in out and "io" in out
 
 
+def test_lexicon_check_rejects_self_loop_coercion(capsys, tmp_path):
+    bad = tmp_path / "loop.lex"
+    bad.write_text("sort e:a\ncoercion c : e:a -> e:a\n")
+    code, out = _run(capsys, ["lexicon", "check", str(bad)])
+    assert code == 1
+    assert out.splitlines() == [f"{bad}: FAIL (1 problem(s))",
+                                "  2:1: coercion endpoints must be distinct sorts"]
+    trees = tmp_path / "trees.txt"
+    trees.write_text("(NODE (LEAF w) (LEAF w))\n")
+    assert main(["compose", str(bad), str(trees)]) == 2
+    assert capsys.readouterr().err == "error: 2:1: coercion endpoints must be distinct sorts\n"
+
+
 def test_lexicon_check_rejects_coercion_into_t(capsys, tmp_path):
     # a coercion into the proposition sort would turn entities into propositions
     bad = tmp_path / "into_t.lex"
@@ -129,6 +143,20 @@ def test_compose_unknown_word(capsys, lex_path, tmp_path):
     code, out = _run(capsys, ["compose", lex_path, str(trees), "--json"])
     assert code == 1
     assert json.loads(out)["items"][1]["diagnostic"] == "word 'unicorn' is not in the lexicon"
+
+
+def test_compose_reports_exhausted_fuel(capsys, lex_path, trees_path, monkeypatch):
+    # the book reading needs more contractions than the fuel allows; the other
+    # trees go on as before
+    monkeypatch.setattr(composer, "normalize", lambda term, sig: kernel.normalize(term, sig, fuel=2))
+    code, out = _run(capsys, ["compose", lex_path, trees_path])
+    assert code == 1
+    assert out.splitlines()[:2] == ["tree 1: 0 analysis(es)",
+                                    "  diagnostic: no normal form within 2 steps"]
+    assert out.splitlines()[-2:] == ["tree 5: 1 analysis(es)", "  [1] type: t"]
+    code, out = _run(capsys, ["compose", lex_path, trees_path, "--json"])
+    assert code == 1
+    assert json.loads(out)["items"][0]["diagnostic"] == "no normal form within 2 steps"
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -230,7 +258,8 @@ def test_normalize_ill_typed_exit_code(capsys, lex_path):
     ("sort e:a\nsort e:b\nsort e:c\ncoercion x : e:a -> e:b\n"
      "coercion y : e:b -> e:c\ncoercion z : e:a -> e:c\n",
      "error: coercion graph is incoherent: "),
-], ids=["bad-entry", "incoherent"])
+    ("sort e:a\ncoercion c : e:a -> e:a\n", "error: 2:1: coercion endpoints must be distinct sorts"),
+], ids=["bad-entry", "incoherent", "self-loop-coercion"])
 @pytest.mark.parametrize("command", ["typecheck", "normalize"])
 def test_unloadable_lexicon_is_input_error(capsys, tmp_path, command, lexicon, message):
     bad = tmp_path / "bad.lex"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from polysem.composer import compose, parse_tree
-from polysem.errors import NotNormal, NotPropType, ParseError, UnexpectedHead
+from polysem.errors import ExtractError, NotNormal, NotPropType, ParseError, UnexpectedHead
 from polysem.hol import (
     Atom,
     Conn,
@@ -23,6 +23,7 @@ from polysem.hol import (
     type_order,
 )
 from polysem import hol, kernel
+from polysem.inductives import register_nat
 from polysem.kernel import eta_expand, is_beta_normal, typecheck
 from polysem.syntax import (
     Arrow,
@@ -123,6 +124,58 @@ def test_extract_rejects_variable_head(lex):
     )
     with pytest.raises(UnexpectedHead):
         extract_formula(term, lex.signature)
+
+
+_ZERO_REDEX = ("(app (app (app (tapp RecN e:nat) Zero)"
+               " (lam (k e:nat) (lam (a e:nat) (app Succ a)))) Zero)")
+
+# extract_formula's verdict on each way a term can fall outside the forms the
+# reader walks; the checks run in the order closed, typed, t, beta, eta
+EXTRACT_VERDICTS = {
+    "free-variable": ("(app barks x)", NotNormal, "term is not closed: free ['x']"),
+    "not-of-type-t": ("(lam (x e:dog) (app barks x))", NotPropType,
+                      "term has type (-> e:dog t), not t"),
+    "beta-redex": ("(app (lam (x t) x) (app barks rex))", NotNormal, "term is not beta-normal"),
+    "type-beta-redex": ("(app (tapp (tlam a barks) e:dog) rex)", NotNormal,
+                        "term is not beta-normal"),
+    "recursor-redex-in-argument": (f"(app even {_ZERO_REDEX})", NotNormal,
+                                   "term is not beta-normal"),
+    "quantifier-scope-not-a-lambda": ("(app (tapp ∀ e:dog) barks)", NotNormal,
+                                      "term is not eta-long"),
+    "choice-scope-not-a-lambda": ("(app barks (app (tapp ε e:dog) dog?))", NotNormal,
+                                  "term is not eta-long"),
+    "predicate-argument-not-expanded": ("(app every_dog barks)", NotNormal, "term is not eta-long"),
+    "neither-beta-normal-nor-eta-long": (
+        "(app (tapp ∀ e:dog) (app (lam (P (-> e:dog t)) P) barks))", NotNormal,
+        "term is not beta-normal"),
+    "variable-headed-spine": (
+        "(app (tapp ∀ (-> e:dog t)) (lam (P (-> e:dog t))"
+        " (app (tapp ∀ e:dog) (lam (x e:dog) (app P x)))))",
+        UnexpectedHead, "variable-headed spine: P"),
+    "variable-headed-term": (
+        "(app (tapp ∀ (-> e:dog e:dog)) (lam (f (-> e:dog e:dog)) (app barks (app f rex))))",
+        UnexpectedHead, "variable-headed spine: f"),
+    # canonical, but a choice term applied further is not read as one
+    "choice-term-applied-further": (
+        "(app barks (app (app (tapp ε (-> e:dog e:dog))"
+        " (lam (f (-> e:dog e:dog)) (app barks rex))) rex))",
+        NotNormal, "ε must be type-instantiated and applied once"),
+}
+
+
+@pytest.fixture(scope="module")
+def verdict_sig(lex):
+    sig = register_nat(lex.signature)
+    return sig.extend(constants={"even": parse_type("(-> e:nat t)", sig.sorts),
+                                 "every_dog": parse_type("(-> (-> e:dog t) t)", sig.sorts)})
+
+
+@pytest.mark.parametrize("name", EXTRACT_VERDICTS)
+def test_extract_verdicts(verdict_sig, name):
+    text, error, message = EXTRACT_VERDICTS[name]
+    with pytest.raises(ExtractError) as info:
+        extract_formula(parse_term(text, verdict_sig), verdict_sig)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,16 @@ from polysem.syntax import (
     alpha_eq,
     entity_sort,
     etype,
+    fresh_name,
+    free_tyvars_in_term,
+    free_vars,
     parse_term,
     parse_type,
     print_term,
     spine,
 )
+
+from test_composer import RECURSOR_CORPUS, _recursor_signature
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +140,126 @@ def test_subst_preserves_typing(sig):
     for m in terms:
         ty = typecheck(m, gsig)
         assert typecheck(substitute(m, "unused", Var("x")), gsig) == ty
+
+
+def _reference_substitute(term: Term, var: str, replacement: Term) -> Term:
+    """The substitution that walked free_vars(body) under every binder, kept
+    as the oracle for the one that finds it out from the recursive result."""
+    fv = None  # computed lazily; replacement is often closed
+
+    def go(t: Term) -> Term:
+        nonlocal fv
+        match t:
+            case Var(name):
+                return replacement if name == var else t
+            case Const():
+                return t
+            case Lam(binder, binder_type, body):
+                if binder == var:
+                    return t
+                if var not in free_vars(body):
+                    return t
+                if fv is None:
+                    fv = free_vars(replacement)
+                if binder in fv:
+                    fresh = fresh_name(binder, fv | free_vars(body) | {var})
+                    body = _reference_substitute(body, binder, Var(fresh))
+                    binder = fresh
+                return Lam(binder, binder_type, go(body))
+            case App(fn, arg):
+                return App(go(fn), go(arg))
+            case TyLam(binder, body):
+                if var not in free_vars(body):
+                    return t
+                if fv is None:
+                    fv = free_vars(replacement)
+                ftv = free_tyvars_in_term(replacement)
+                if binder in ftv:
+                    fresh = fresh_name(binder, ftv | free_tyvars_in_term(body))
+                    body = substitute_ty(body, binder, TyVar(fresh))
+                    binder = fresh
+                return TyLam(binder, go(body))
+            case TyApp(fn, ty_arg):
+                return TyApp(go(fn), ty_arg)
+        raise TypeError(f"not a Term: {t!r}")
+
+    out = go(term)
+    del go  # go reaches itself through its closure: break that cycle now
+    return out
+
+
+def _assert_substitutes_as_reference(body, var, arg):
+    out = substitute(body, var, arg)
+    assert print_term(out) == print_term(_reference_substitute(body, var, arg))
+    if var not in free_vars(body):
+        assert out is body
+
+
+def _contracted_substitutions(terms, sig, strategies, monkeypatch):
+    """Every (body, binder, argument) that normalising `terms` substitutes."""
+    seen = []
+    contract = kernel._contract
+
+    def recording(term, sig):
+        if isinstance(term, App) and isinstance(term.fn, Lam):
+            seen.append((term.fn.body, term.fn.binder, term.arg))
+        return contract(term, sig)
+
+    monkeypatch.setattr(kernel, "_contract", recording)
+    for strategy in strategies:
+        for m in terms:
+            normalize(m, sig, strategy=strategy)
+    monkeypatch.undo()
+    return seen
+
+
+def test_substitute_matches_reference_on_corpus(monkeypatch):
+    # the corpus of scripts/confluence_experiment.py
+    base = register_finset(register_nat(builtin_signature()))
+    base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+    terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
+    seen = _contracted_substitutions(terms, gsig, (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST), monkeypatch)
+    assert len(seen) > 1000
+    assert any(var not in free_vars(body) for body, var, _ in seen)
+    for body, var, arg in seen:
+        _assert_substitutes_as_reference(body, var, arg)
+
+
+def test_substitute_matches_reference_on_recursor_corpus(monkeypatch):
+    sig = _recursor_signature()
+    terms = [parse_term(text, sig) for text in RECURSOR_CORPUS.values()]
+    seen = _contracted_substitutions(terms, sig, (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST), monkeypatch)
+    assert seen
+    for body, var, arg in seen:
+        _assert_substitutes_as_reference(body, var, arg)
+
+
+@pytest.mark.parametrize("body, var, arg, expected", [
+    ("(lam (y t) x)", "x", "y", "(lam (y'1 t) y)"),
+    # the fresh name avoids the argument's variables and the body's
+    ("(lam (y t) (app (app ∧ x) y'1))", "x", "(app (app ∧ y) y'2)", "(lam (y'3 t) (app (app ∧ (app (app ∧ y) y'2)) y'1))"),
+    # renaming under a binder that keeps its name
+    ("(lam (z t) (lam (y t) (app (app ∧ x) z)))", "x", "y", "(lam (z t) (lam (y'1 t) (app (app ∧ y) z)))"),
+    # an inner binder that captures nothing keeps its name beside a renamed one
+    ("(lam (y t) (app (app ∧ (lam (w t) w)) x))", "x", "y", "(lam (y'1 t) (app (app ∧ (lam (w t) w)) y))"),
+    # a type binder free in the argument
+    ("(tlam a (lam (z a) x))", "x", "(lam (u a) u)", "(tlam a'1 (lam (z a'1) (lam (u a) u)))"),
+    # the binder is the substituted variable: nothing changes
+    ("(lam (x t) x)", "x", "y", "(lam (x t) x)"),
+])
+def test_substitute_capture_cases(body, var, arg, expected):
+    # free names are parsed as variables; the terms need not typecheck
+    sig = builtin_signature()
+    body, arg = parse_term(body, sig), parse_term(arg, sig)
+    assert print_term(substitute(body, var, arg)) == expected
+    _assert_substitutes_as_reference(body, var, arg)
+
+
+def test_substitute_shares_what_it_does_not_change(sig):
+    body = parse_term("(app (app ∧ (app (lam (y t) y) p)) (app (app ∧ x) q))", sig)
+    out = substitute(body, "x", parse_term("p", sig))
+    assert out.fn.arg is body.fn.arg
+    assert out.arg.arg is body.arg.arg and out.arg.fn.fn is body.arg.fn.fn
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from polysem.errors import (
     DuplicateWord,
     IncoherentCoercions,
+    ParseError,
     TypeErrorInEntry,
     UnknownWord,
 )
@@ -141,6 +142,13 @@ coercion io : e:info -> e:obj
     with pytest.raises(IncoherentCoercions) as exc:
         load_lexicon(doc)
     assert exc.value.report.conflicts
+
+
+def test_self_loop_coercion_is_a_problem():
+    doc = "sort e:a\nsort e:b\ncoercion c : e:a -> e:a\ncoercion d : e:a -> e:b\n"
+    assert lexicon_problems(doc) == ["3:1: coercion endpoints must be distinct sorts"]
+    with pytest.raises(ParseError, match="distinct sorts"):
+        load_lexicon(doc)
 
 
 def test_problems_are_all_reported():
