@@ -9,7 +9,9 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # the term generator the property suites use
 
 from polysem.kernel import (
     LEFTMOST_OUTERMOST,
@@ -20,8 +22,8 @@ from polysem.kernel import (
 )
 from polysem.inductives import register_finset, register_nat
 from polysem.lexicon import builtin_signature
-from polysem.random_terms import generate_corpus
 from polysem.syntax import alpha_eq, entity_sort
+from random_terms import generate_corpus
 
 
 def main():

@@ -21,7 +21,7 @@ import sys
 from typing import Iterator, Optional
 
 from .composer import _compose_with_failures, parse_trees
-from .errors import FuelExhausted, IllFormedType, ParseError, PolysemError, UnknownWord
+from .errors import ExtractError, FuelExhausted, IllFormedType, ParseError, PolysemError, UnknownWord
 from .hol import SEXPR, classify, extract_formula, print_formula
 from .kernel import (
     EMPTY_CONTEXT,
@@ -214,31 +214,31 @@ def cmd_compose(args) -> int:
         try:
             analyses, diagnosis = _compose_with_failures(tree, lex, args.limit)
             diag = diagnosis.describe() or "no candidates"
-        except (UnknownWord, IllFormedType, FuelExhausted) as e:
-            analyses, diag = [], str(e)
+            formulas = [extract_formula(eta_expand(a.normal_term, lex.signature), lex.signature)
+                        if (args.show_formula or args.profile) and a.result_type == PROP else None
+                        for a in analyses]
+        except (UnknownWord, IllFormedType, FuelExhausted, ExtractError) as e:
+            analyses, formulas, diag = [], [], str(e)
         item = {"tree": k, "ok": bool(analyses), "analyses": []}
         lines = [f"tree {k}: {len(analyses)} analysis(es)"]
-        for i, a in enumerate(analyses, start=1):
+        for i, (a, formula) in enumerate(zip(analyses, formulas), start=1):
             entry = {"type": print_type(a.result_type),
                      "used": a.labels()}
             lines.append(f"  [{i}] type: {print_type(a.result_type)}")
             if args.show_term:
                 entry["term"] = print_term(a.normal_term)
                 lines.append(f"      term: {print_term(a.normal_term)}")
-            if args.show_formula or args.profile:
-                if a.result_type == PROP:
-                    nf = eta_expand(a.normal_term, lex.signature)
-                    formula = extract_formula(nf, lex.signature)
-                    if args.show_formula:
-                        entry["formula"] = print_formula(formula, SEXPR)
-                        lines.append(f"      formula: {print_formula(formula, SEXPR)}")
-                    if args.profile:
-                        profile = classify(formula)
-                        entry["profile"] = {"order": profile.order, "sorts": profile.sorts}
-                        lines.append(f"      profile: order={profile.order} sorts={profile.sorts}")
-                elif args.show_formula:
-                    entry["formula"] = None
-                    lines.append("      formula: (not of type t)")
+            if formula is not None:
+                if args.show_formula:
+                    entry["formula"] = print_formula(formula, SEXPR)
+                    lines.append(f"      formula: {print_formula(formula, SEXPR)}")
+                if args.profile:
+                    profile = classify(formula)
+                    entry["profile"] = {"order": profile.order, "sorts": profile.sorts}
+                    lines.append(f"      profile: order={profile.order} sorts={profile.sorts}")
+            elif args.show_formula:
+                entry["formula"] = None
+                lines.append("      formula: (not of type t)")
             item["analyses"].append(entry)
         if not analyses:
             item["diagnostic"] = diag

@@ -112,5 +112,5 @@ class NotPropType(ExtractError):
 
 
 class UnexpectedHead(ExtractError):
-    """A spine headed by a variable (or other non-constant) was met while
-    reading a formula.  On kernel output this signals a kernel bug."""
+    """A variable applied to arguments, or of type t, was met while reading a
+    formula: such a term is canonical but has no formula yet."""

@@ -2,31 +2,35 @@
 many-sorted higher-order logic, and classifying them by quantification order
 and sort count.
 
-Every spine of such a term must be headed by a signature constant: the
-connectives, the typed quantifiers, the Hilbert choice operators, or a
-predicate/function constant.  A variable-headed spine is reported as
-UnexpectedHead: on kernel output it signals a kernel bug, never a user
-error.
+Such a term is a canonical form, read in kernel.canonical's pass.  A spine
+of type t must be headed by a signature constant: a connective, a typed
+quantifier or a predicate.  A spine of another type may be a bare variable,
+a Hilbert choice term or a function constant applied to its arguments.  A
+variable-headed spine applied to arguments, such as a predicate variable
+bound by a quantifier over (-> e:dog t), has no formula yet and is refused
+with UnexpectedHead; a lexicon entry can produce one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Union
 
 from .errors import (
+    ExtractError,
     NotNormal,
     NotPropType,
     ParseError,
+    TypeCheckError,
     UnexpectedHead,
 )
 from .kernel import (
-    EMPTY_CONTEXT,
     NormalForm,
+    canonical,
     is_beta_normal,
     subst_type,
     typecheck,
-    _eta,
 )
 from .syntax import (
     PROP,
@@ -49,7 +53,6 @@ from .syntax import (
     free_vars,
     parse_sexpr,
     print_type,
-    spine,
     _SexprNode,
     _type_from_sexpr,
 )
@@ -154,78 +157,67 @@ class LogicProfile:
 
 def extract_formula(m: Union[NormalForm, Term], sig: Signature) -> Formula:
     """Read a closed eta-long beta-normal term of type t as a formula; the
-    reading is invertible (see formula_to_term).  Such a term is a canonical
-    form, so the checks below leave the reader only variable-headed spines
-    (and choice terms applied further) to refuse."""
+    reading is invertible (see formula_to_term).  The reading is made in
+    kernel.canonical's pass over the term.  Only a term that pass refuses
+    goes through the checks one at a time, so that the first failing one
+    names the error: closed, typed, of type t, beta-normal, eta-long, and
+    last the reader's own refusals."""
     term = m.term if isinstance(m, NormalForm) else m
+    try:
+        # after eta_expand the type is remembered on the node
+        ty = typecheck(term, sig)
+        if _is_prop(ty):
+            return canonical(term, ty, sig, read=_READER)
+    except (TypeCheckError, ExtractError):
+        pass
     if free_vars(term):
         raise NotNormal(f"term is not closed: free {sorted(free_vars(term))}")
-    ty = typecheck(term, sig, EMPTY_CONTEXT)
-    if ty != PROP:
+    ty = typecheck(term, sig)
+    if not _is_prop(ty):
         raise NotPropType(f"term has type {print_type(ty)}, not t")
     if not is_beta_normal(term, sig):
         raise NotNormal("term is not beta-normal")
-    # is_eta_long without typechecking the term again
-    if _eta(term, ty, sig, EMPTY_CONTEXT) != term:
-        raise NotNormal("term is not eta-long")
-    return _read_formula(term)
+    try:
+        canonical(term, ty, sig)
+    except NotNormal:
+        raise NotNormal("term is not eta-long") from None
+    return canonical(term, ty, sig, read=_READER)
 
 
-def _read_formula(term: Term) -> Formula:
-    head, elims = spine(term)
+def _is_prop(ty: Type) -> bool:
+    return isinstance(ty, Base) and ty.sort.kind == "prop"
+
+
+def _read_abstraction(term: Term, ty: Type, body) -> HolTerm:
+    return HAbs(term.binder, ty.domain, body) if isinstance(term, Lam) else HTyAbs(term.binder, body)
+
+
+def _refuse_head(head: Term, ty: Type, n: int) -> None:
+    """The reader's own refusals, met at a spine before its n arguments."""
     if isinstance(head, Var):
-        raise UnexpectedHead(f"variable-headed spine: {head.name}")
-    if head.name in _CONN_CONSTANTS:
-        return Conn(_CONN_CONSTANTS[head.name], tuple(_read_formula(e) for e in elims))
-    if head.name in _QUANT_CONSTANTS:
-        ty_arg, scope = elims
-        return Quant(_QUANT_CONSTANTS[head.name], scope.binder, ty_arg, _read_formula(scope.body))
-    return Atom(head.name, head.declared_type, *_read_const_args(head.declared_type, elims))
-
-
-def _read_const_args(declared: Type, elims) -> tuple[tuple[Type, ...], tuple[HolTerm, ...]]:
-    """Walk the constant's type along its eliminations, reading each term
-    argument at the expected domain type."""
-    ty_args: list[Type] = []
-    args: list[HolTerm] = []
-    cur = declared
-    for e in elims:
-        if isinstance(e, Type):
-            ty_args.append(e)
-            cur = subst_type(cur.body, cur.binder, e)
-        else:
-            args.append(_read_holterm(e, cur.domain))
-            cur = cur.codomain
-    return tuple(ty_args), tuple(args)
-
-
-def _read_holterm(term: Term, expected: Type) -> HolTerm:
-    if expected == PROP:
-        return Embed(_read_formula(term))
-    match expected:
-        case Arrow(dom, cod):
-            return HAbs(term.binder, dom, _read_at(term.body, cod))
-        case Forall(binder, body_ty):
-            inner_ty = subst_type(body_ty, binder, TyVar(term.binder))
-            return HTyAbs(term.binder, _read_at(term.body, inner_ty))
-    head, elims = spine(term)
-    if isinstance(head, Var):
-        if elims:
+        if n or _is_prop(ty):
             raise UnexpectedHead(f"variable-headed spine: {head.name}")
-        return HVar(head.name, expected)
-    if head.name in _HILBERT_CONSTANTS:
+    elif head.name in _HILBERT_CONSTANTS and n != 2 and not _is_prop(ty):
         # at an arrow or a quantified type, a choice term takes further arguments
-        if len(elims) != 2:
-            raise NotNormal(f"{head.name} must be type-instantiated and applied once")
-        ty_arg, scope = elims
-        return Hilbert(_HILBERT_CONSTANTS[head.name], scope.binder, ty_arg, _read_formula(scope.body))
-    return ConstApp(head.name, head.declared_type, *_read_const_args(head.declared_type, elims))
+        raise NotNormal(f"{head.name} must be type-instantiated and applied once")
 
 
-def _read_at(term: Term, expected: Type) -> Union[HolTerm, Formula]:
-    if expected == PROP:
-        return _read_formula(term)
-    return _read_holterm(term, expected)
+def _read_spine(head: Term, ty: Type, ty_args: list, args: list) -> Union[Formula, HolTerm]:
+    """A formula at type t, a term elsewhere."""
+    if isinstance(head, Var):
+        return HVar(head.name, ty)
+    prop = _is_prop(ty)
+    if prop and head.name in _CONN_CONSTANTS:
+        return Conn(_CONN_CONSTANTS[head.name], tuple(args))
+    binders = _QUANT_CONSTANTS if prop else _HILBERT_CONSTANTS
+    if head.name in binders:
+        [sort_type], [scope] = ty_args, args
+        return (Quant if prop else Hilbert)(binders[head.name], scope.var, sort_type, scope.body)
+    args = tuple(Embed(a) if isinstance(a, Formula) else a for a in args)
+    return (Atom if prop else ConstApp)(head.name, head.declared_type, tuple(ty_args), args)
+
+
+_READER = SimpleNamespace(abstraction=_read_abstraction, head=_refuse_head, spine=_read_spine)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +272,12 @@ def type_order(ty: Type) -> int:
     raise TypeError(f"not a Type: {ty!r}")
 
 
-def _entity_sorts_in(ty: Type, acc: set[Sort]) -> None:
+def _entity_sorts_in(ty: Type, acc: set[Sort], walked: set[int]) -> None:
+    """Add the entity sorts of `ty` to `acc`, skipping the type objects whose
+    ids are in `walked`: the caller keeps them alive."""
+    if id(ty) in walked:
+        return
+    walked.add(id(ty))
     match ty:
         case Base(sort):
             if sort.kind == "entity":
@@ -288,27 +285,28 @@ def _entity_sorts_in(ty: Type, acc: set[Sort]) -> None:
         case TyVar():
             pass
         case Arrow(dom, cod):
-            _entity_sorts_in(dom, acc)
-            _entity_sorts_in(cod, acc)
+            _entity_sorts_in(dom, acc, walked)
+            _entity_sorts_in(cod, acc, walked)
         case Forall(_, body):
-            _entity_sorts_in(body, acc)
+            _entity_sorts_in(body, acc, walked)
         case SetOf(elem):
-            _entity_sorts_in(elem, acc)
+            _entity_sorts_in(elem, acc, walked)
 
 
 def classify(f: Union[Formula, HolTerm]) -> LogicProfile:
     """Order is the maximum order of any quantified or Hilbert-bound type
     (1 for quantifier-free formulas); sorts counts the distinct entity sorts
-    occurring anywhere in the formula."""
+    occurring anywhere in the formula.  Each type object is walked once."""
     orders: list[int] = [1]
     sorts: set[Sort] = set()
+    walked: set[int] = set()
 
     def walk(node):
         match node:
             case Atom(_, pred_type, ty_args, args) | ConstApp(_, pred_type, ty_args, args):
-                _entity_sorts_in(pred_type, sorts)
+                _entity_sorts_in(pred_type, sorts, walked)
                 for t in ty_args:
-                    _entity_sorts_in(t, sorts)
+                    _entity_sorts_in(t, sorts, walked)
                 for a in args:
                     walk(a)
             case Conn(_, args):
@@ -316,12 +314,12 @@ def classify(f: Union[Formula, HolTerm]) -> LogicProfile:
                     walk(a)
             case Quant(_, _, sort_type, body) | Hilbert(_, _, sort_type, body):
                 orders.append(type_order(sort_type))
-                _entity_sorts_in(sort_type, sorts)
+                _entity_sorts_in(sort_type, sorts, walked)
                 walk(body)
             case HVar(_, var_type):
-                _entity_sorts_in(var_type, sorts)
+                _entity_sorts_in(var_type, sorts, walked)
             case HAbs(_, var_type, body):
-                _entity_sorts_in(var_type, sorts)
+                _entity_sorts_in(var_type, sorts, walked)
                 walk(body)
             case HTyAbs(_, body):
                 walk(body)

@@ -72,19 +72,6 @@ class InductiveRule:
         return self.rewrite(elims, scrut_elims)
 
 
-def check_orthogonality(rules) -> Optional[tuple[InductiveRule, InductiveRule]]:
-    """None when no two left-hand patterns overlap; otherwise the first
-    overlapping pair.  Two rules overlap iff they contract the same recursor
-    on the same constructor."""
-    seen: dict[tuple[str, str], InductiveRule] = {}
-    for rule in rules:
-        key = (rule.recursor_head, rule.constructor)
-        if key in seen:
-            return (seen[key], rule)
-        seen[key] = rule
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Naturals
 

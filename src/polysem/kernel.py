@@ -14,6 +14,7 @@ from typing import Optional
 from .errors import (
     FuelExhausted,
     IllFormedType,
+    NotNormal,
     TypeCheckError,
     TypeMismatch,
     UnboundVariable,
@@ -407,12 +408,66 @@ def _ri(term: Term, sig: Signature, fuel: list) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Eta-long forms
+# Canonical and eta-long forms
+
+
+def canonical(term: Term, ty: Type, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT, read=None):
+    """Check that `term`, well typed at `ty` under `ctx`, is a canonical form,
+    that is β-normal and η-long: a λ at an arrow type, a Λ at a ∀ type, and
+    at any other type a variable or a constant applied to all its arguments,
+    each canonical, and not a recursor redex.  NotNormal is raised at the
+    first position that is not canonical.
+
+    With `read`, the pass returns the term's reading, built bottom up by
+    read.abstraction(term, ty, body) and read.spine(head, ty, type arguments,
+    argument readings); read.head(head, ty, n) sees each spine's head before
+    its n eliminations.  A spine in no binder's scope remembers on its node,
+    per signature, that it is canonical and its reading, so that readings
+    sharing closed subterms walk each once."""
+    if isinstance(ty, (Arrow, Forall)):
+        if isinstance(ty, Arrow) and isinstance(term, Lam):
+            body = canonical(term.body, ty.codomain, sig, ctx.bind(term.binder, term.binder_type), read)
+        elif isinstance(ty, Forall) and isinstance(term, TyLam):
+            inner = subst_type(ty.body, ty.binder, TyVar(term.binder))
+            body = canonical(term.body, inner, sig, ctx.bind_ty(term.binder), read)
+        else:
+            raise NotNormal("not an abstraction at an arrow or ∀ type")
+        return read and read.abstraction(term, ty, body)
+    closed = ctx is EMPTY_CONTEXT
+    memo = getattr(term, "_canonical_memo", None) if closed else None
+    if memo is not None and memo[0] is sig and (read is None or memo[1] is read):
+        return memo[2]
+    head, nodes = spine_nodes(term)
+    if not isinstance(head, (Var, Const)):
+        raise NotNormal("a β-redex")
+    if (k := _scrutinee(head, nodes, sig)) is not None and _rule_for(head.name, nodes[k].arg, sig):
+        raise NotNormal("a recursor redex")
+    cur = ctx.term_vars[head.name] if isinstance(head, Var) else head.declared_type
+    if read:
+        read.head(head, ty, len(nodes))
+    ty_args, args = [], []
+    for n in nodes:
+        if isinstance(n, App):
+            args.append(canonical(n.arg, cur.domain, sig, ctx, read))
+            cur = cur.codomain
+        else:
+            ty_args.append(n.ty_arg)
+            cur = subst_type(cur.body, cur.binder, n.ty_arg)
+    out = read and read.spine(head, ty, ty_args, args)
+    if closed:
+        object.__setattr__(term, "_canonical_memo", (sig, read, out))
+    return out
 
 
 def eta_expand(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT) -> NormalForm:
-    """Eta-long form of a beta-normal, well-typed term."""
-    return NormalForm(_eta(term, typecheck(term, sig, ctx), sig, ctx))
+    """Eta-long form of a beta-normal, well-typed term.  A canonical term
+    comes back as the same object."""
+    ty = typecheck(term, sig, ctx)
+    try:
+        canonical(term, ty, sig, ctx)
+        return NormalForm(term)
+    except NotNormal:
+        return NormalForm(_eta(term, ty, sig, ctx))
 
 
 def _eta(term: Term, ty: Type, sig: Signature, ctx: TypingContext) -> Term:

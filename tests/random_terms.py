@@ -17,9 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .inductives import FOLD_SET, NAT, REC_NAT, finite_set, numeral
-from .kernel import subst_type, typecheck
-from .syntax import (
+from polysem.inductives import FOLD_SET, NAT, REC_NAT, finite_set, numeral
+from polysem.kernel import subst_type, typecheck
+from polysem.syntax import (
     App,
     Arrow,
     Base,

