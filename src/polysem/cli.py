@@ -10,7 +10,10 @@ Subcommands:
 
 All subcommands accept --json for a machine-readable report.  Exit codes:
 0 every item ok, 1 analysis or type failure, 2 I/O or format error.  Output
-is deterministic: identical inputs produce byte-identical reports.
+is deterministic: identical inputs produce byte-identical reports.  A
+ParseError (`LINE:COL: message`, the nesting limit included) in a file or in
+the TYPE of search-false exits 2; in the TERM of typecheck or normalize, or
+in a line under lexicon check, it is a FAIL item and exits 1.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import sys
 from typing import Iterator, Optional
 
-from .composer import _compose_with_failures, parse_trees
+from .composer import compose_with_failures, parse_trees
 from .errors import ExtractError, FuelExhausted, IllFormedType, ParseError, PolysemError, UnknownWord
 from .hol import SEXPR, classify, extract_formula, print_formula
 from .kernel import (
@@ -212,7 +215,7 @@ def cmd_compose(args) -> int:
     report = _Report("compose", args.json)
     for k, tree in enumerate(trees, start=1):
         try:
-            analyses, diagnosis = _compose_with_failures(tree, lex, args.limit)
+            analyses, diagnosis = compose_with_failures(tree, lex, args.limit)
             diag = diagnosis.describe() or "no candidates"
             formulas = [extract_formula(eta_expand(a.normal_term, lex.signature), lex.signature)
                         if (args.show_formula or args.profile) and a.result_type == PROP else None

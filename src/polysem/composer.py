@@ -39,6 +39,7 @@ from .syntax import (
     Arrow,
     Forall,
     Lam,
+    SexprNode,
     Term,
     TyApp,
     TyLam,
@@ -51,8 +52,7 @@ from .syntax import (
     fresh_name,
     parse_sexpr,
     print_type,
-    _SexprNode,
-    _type_from_sexpr,
+    type_from_sexpr,
 )
 
 MAIN = "MAIN"
@@ -82,7 +82,7 @@ class TyAnno:
 ParseTree = Union[Leaf, Node, TyAnno]
 
 
-def _tree_from_sexpr(node: _SexprNode) -> ParseTree:
+def _tree_from_sexpr(node: SexprNode) -> ParseTree:
     if node.items is None or not node.items or node.items[0].atom is None:
         raise ParseError("expected (LEAF word) | (NODE fn arg) | (TY tree TYPE...)",
                          node.line, node.col)
@@ -99,7 +99,7 @@ def _tree_from_sexpr(node: _SexprNode) -> ParseTree:
         if len(node.items) < 3:
             raise ParseError("(TY tree TYPE...) expected", node.line, node.col)
         sub = _tree_from_sexpr(node.items[1])
-        tys = tuple(_type_from_sexpr(item, None) for item in node.items[2:])
+        tys = tuple(type_from_sexpr(item, None) for item in node.items[2:])
         return TyAnno(sub, tys)
     raise ParseError(f"unknown tree form {head!r}", node.line, node.col)
 
@@ -468,11 +468,11 @@ def compose(tree: ParseTree, lex: Lexicon, limit: int = DEFAULT_LIMIT) -> list[A
     alpha-equivalence of their normal forms.  Unknown words and ill-formed
     TY annotations raise; any other failure yields the empty list (see
     diagnose)."""
-    analyses, _ = _compose_with_failures(tree, lex, limit)
+    analyses, _ = compose_with_failures(tree, lex, limit)
     return analyses
 
 
-def _compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
+def compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
                            ) -> tuple[list[Analysis], DiagnoseReport]:
     """The analyses, and the search's failures when there are none."""
     if limit < 1:
@@ -518,4 +518,4 @@ def apply_node(fn_term: Term, arg_term: Term, lex: Lexicon,
 def diagnose(tree: ParseTree, lex: Lexicon) -> DiagnoseReport:
     """Empty when the tree composes; otherwise the recorded failures, of
     which `deepest` is the most useful one."""
-    return _compose_with_failures(tree, lex, DEFAULT_LIMIT)[1]
+    return compose_with_failures(tree, lex, DEFAULT_LIMIT)[1]

@@ -41,6 +41,7 @@ from .syntax import (
     Forall,
     Lam,
     SetOf,
+    SexprNode,
     Signature,
     Sort,
     Term,
@@ -53,8 +54,7 @@ from .syntax import (
     free_vars,
     parse_sexpr,
     print_type,
-    _SexprNode,
-    _type_from_sexpr,
+    type_from_sexpr,
 )
 
 AND, NOT, IMPLIES = "and", "not", "implies"
@@ -421,7 +421,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     return out
 
 
-def _formula_from_sexpr(node: _SexprNode, sig: Signature, env: dict[str, Type]):
+def _formula_from_sexpr(node: SexprNode, sig: Signature, env: dict[str, Type]):
     if node.atom is not None:
         name = node.atom
         if name in env:
@@ -449,7 +449,7 @@ def _formula_from_sexpr(node: _SexprNode, sig: Signature, env: dict[str, Type]):
                 or items[1].items[0].atom is None):
             raise ParseError(f"({head} (x TYPE) F) expected", node.line, node.col)
         var = items[1].items[0].atom
-        var_type = _type_from_sexpr(items[1].items[1], None)
+        var_type = type_from_sexpr(items[1].items[1], None)
         inner = dict(env)
         inner[var] = var_type
         if head == "lam":
@@ -472,7 +472,7 @@ def _formula_from_sexpr(node: _SexprNode, sig: Signature, env: dict[str, Type]):
     rest = items[1:]
     i = 0
     while isinstance(cur, Forall) and i < len(rest):
-        t = _type_from_sexpr(rest[i], None)
+        t = type_from_sexpr(rest[i], None)
         ty_args.append(t)
         cur = subst_type(cur.body, cur.binder, t)
         i += 1

@@ -13,10 +13,16 @@ The concrete grammar is fully parenthesized s-expressions:
 
 Application nodes are strictly binary.  `(set T)` is only produced by the
 finite-set extension.
+
+Space, tab, CR and LF separate tokens, `(` and `)` are tokens of their own,
+and every other run of characters (form feed, non-ASCII) is an atom; `#`
+comments exist only in lexicon and tree files.  A malformed text raises
+ParseError (`LINE:COL: message`), and so does one nesting over MAX_NESTING.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -451,87 +457,62 @@ class Signature:
 # ---------------------------------------------------------------------------
 # S-expression reader
 
+MAX_NESTING = 900  # lists open at once; leaves the recursive walks room under Python's default limit
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
+_TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c in "()":
-            tokens.append(_Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in "() \t\r\n":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+class SexprNode:
+    """An atom (`items` is None) or a list (`atom` is None), at 1-based line and column."""
 
-
-class _SexprNode:
     __slots__ = ("items", "atom", "line", "col")
 
-    def __init__(self, items=None, atom=None, line=0, col=0):
-        self.items = items
-        self.atom = atom
-        self.line = line
-        self.col = col
+    def __init__(self, items, atom, line, col):
+        self.items, self.atom, self.line, self.col = items, atom, line, col
 
 
-def _read_sexpr(tokens: list[_Token], pos: int) -> tuple[_SexprNode, int]:
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok.text == ")":
-        raise ParseError("unexpected ')'", tok.line, tok.col)
-    if tok.text == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("unclosed '('", tok.line, tok.col)
-            if tokens[pos].text == ")":
-                return _SexprNode(items=items, line=tok.line, col=tok.col), pos + 1
-            node, pos = _read_sexpr(tokens, pos)
-            items.append(node)
-    return _SexprNode(atom=tok.text, line=tok.line, col=tok.col), pos + 1
-
-
-def parse_sexpr(text: str) -> _SexprNode:
-    tokens = _tokenize(text)
-    if not tokens:
+def parse_sexpr(text: str) -> SexprNode:
+    """Read exactly one s-expression: one loop over the tokens, with an
+    explicit stack of the lists still open."""
+    stack: list[SexprNode] = []
+    root = None
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line += 1
+            line_start = m.end()
+            continue
+        col = m.start() - line_start + 1
+        if root is not None:
+            raise ParseError(f"trailing input {tok!r}", line, col)
+        if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", line, col)
+            stack.append(SexprNode([], None, line, col))
+            continue
+        if tok == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", line, col)
+            node = stack.pop()
+        else:
+            node = SexprNode(None, tok, line, col)
+        if stack:
+            stack[-1].items.append(node)
+        else:
+            root = node
+    if stack:
+        raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
+    if root is None:
         raise ParseError("empty input")
-    node, pos = _read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        t = tokens[pos]
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return node
+    return root
 
 
 # ---------------------------------------------------------------------------
 # Type and term parsing
 
 
-def _type_from_sexpr(node: _SexprNode, known_sorts) -> Type:
+def type_from_sexpr(node: SexprNode, known_sorts) -> Type:
     if node.atom is not None:
         a = node.atom
         if a == "t":
@@ -551,25 +532,25 @@ def _type_from_sexpr(node: _SexprNode, known_sorts) -> Type:
     if head == "->":
         if len(items) != 3:
             raise ParseError("(-> T T) takes exactly two types", node.line, node.col)
-        return Arrow(_type_from_sexpr(items[1], known_sorts), _type_from_sexpr(items[2], known_sorts))
+        return Arrow(type_from_sexpr(items[1], known_sorts), type_from_sexpr(items[2], known_sorts))
     if head == "all":
         if len(items) != 3 or items[1].atom is None:
             raise ParseError("(all v T) takes a variable and a type", node.line, node.col)
-        return Forall(items[1].atom, _type_from_sexpr(items[2], known_sorts))
+        return Forall(items[1].atom, type_from_sexpr(items[2], known_sorts))
     if head == "set":
         if len(items) != 2:
             raise ParseError("(set T) takes exactly one type", node.line, node.col)
-        return SetOf(_type_from_sexpr(items[1], known_sorts))
+        return SetOf(type_from_sexpr(items[1], known_sorts))
     raise ParseError(f"unknown type form {head!r}", node.line, node.col)
 
 
 def parse_type(text: str, known_sorts=None) -> Type:
     """Parse a type.  When `known_sorts` (a collection of Sort) is given,
     undeclared entity sorts raise UnknownSort."""
-    return _type_from_sexpr(parse_sexpr(text), known_sorts)
+    return type_from_sexpr(parse_sexpr(text), known_sorts)
 
 
-def _term_from_sexpr(node: _SexprNode, sig: Signature, bound: frozenset[str], allow_free: bool) -> Term:
+def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], allow_free: bool) -> Term:
     if node.atom is not None:
         name = node.atom
         if name in bound:
@@ -588,16 +569,13 @@ def _term_from_sexpr(node: _SexprNode, sig: Signature, bound: frozenset[str], al
                 or items[1].items[0].atom is None):
             raise ParseError("(lam (v T) M) expected", node.line, node.col)
         binder = items[1].items[0].atom
-        binder_type = _type_from_sexpr(items[1].items[1], None)
-        body = _term_from_sexpr(items[2], sig, bound | {binder}, allow_free)
-        return Lam(binder, binder_type, body)
+        return Lam(binder, type_from_sexpr(items[1].items[1], None),
+                   _term_from_sexpr(items[2], sig, bound | {binder}, allow_free))
     if head == "app":
         if len(items) != 3:
             raise ParseError("(app M N) is strictly binary", node.line, node.col)
-        return App(
-            _term_from_sexpr(items[1], sig, bound, allow_free),
-            _term_from_sexpr(items[2], sig, bound, allow_free),
-        )
+        return App(_term_from_sexpr(items[1], sig, bound, allow_free),
+                   _term_from_sexpr(items[2], sig, bound, allow_free))
     if head == "tlam":
         if len(items) != 3 or items[1].atom is None:
             raise ParseError("(tlam v M) expected", node.line, node.col)
@@ -605,10 +583,7 @@ def _term_from_sexpr(node: _SexprNode, sig: Signature, bound: frozenset[str], al
     if head == "tapp":
         if len(items) != 3:
             raise ParseError("(tapp M T) expected", node.line, node.col)
-        return TyApp(
-            _term_from_sexpr(items[1], sig, bound, allow_free),
-            _type_from_sexpr(items[2], None),
-        )
+        return TyApp(_term_from_sexpr(items[1], sig, bound, allow_free), type_from_sexpr(items[2], None))
     raise ParseError(f"unknown term form {head!r}", node.line, node.col)
 
 

@@ -362,3 +362,40 @@ def test_search_false_api():
     sig = builtin_signature()
     for t in k:
         assert typecheck(t, sig) == parse_type("(all a (all b (-> a (-> b a))))")
+
+
+# ---------------------------------------------------------------------------
+# Text nested deeper than the reader's limit
+
+
+def test_compose_deep_tree_is_an_input_error(capsys, lex_path, tmp_path):
+    trees = tmp_path / "deep.txt"
+    trees.write_text("(NODE (LEAF sleeps) " * 2999 + "(LEAF Rex)" + ")" * 2999 + "\n")
+    assert main(["compose", lex_path, str(trees)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the LEAF list of the 900th NODE is the 901st open list
+    assert captured.err == f"error: 1:{899 * 20 + 7}: nesting deeper than 900\n"
+
+
+def test_normalize_deep_term_reports_a_parse_error(capsys, lex_path):
+    term = "(app (lam (x t) x) " * 1200 + "(app barks rex)" + ")" * 1200
+    code, out = _run(capsys, ["normalize", lex_path, term])
+    assert code == 1
+    # the binder list of the 899th application is the 901st open list
+    assert out == f"FAIL 1:{898 * 19 + 11}: nesting deeper than 900\n"
+
+
+def test_every_subcommand_refuses_deep_text_with_its_exit_code(capsys, lex_path, trees_path, tmp_path):
+    deep_type = "(-> t " * 1000 + "t" + ")" * 1000
+    deep_lex = tmp_path / "deep.lex"
+    deep_lex.write_text(f"const k : {deep_type}\n")
+    error = "1:5401: nesting deeper than 900"
+    for argv, code, out, err in [
+        (["lexicon", "check", str(deep_lex)], 1, f"{deep_lex}: FAIL (1 problem(s))\n  1:1: in const k: {error}\n", ""),
+        (["compose", str(deep_lex), trees_path], 2, "", f"error: 1:1: in const k: {error}\n"),
+        (["typecheck", lex_path, f"(lam (x {deep_type}) x)"], 1, "FAIL 1:5397: nesting deeper than 900\n", ""),
+        (["search-false", deep_type], 2, "", f"error: {error}\n"),
+    ]:
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)

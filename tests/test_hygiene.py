@@ -1,5 +1,5 @@
-"""Source hygiene: every module uses each name it imports, and takes no
-other module's private names but a listed few."""
+"""Source hygiene: every module uses each name it imports and takes no other
+module's private names, and every top-level definition is used or exported."""
 
 import ast
 import pathlib
@@ -22,21 +22,30 @@ def test_every_imported_name_is_used(path):
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
-# The underscore names one module may still take from another.  A name leaves
-# this list when its module gives it a public form; none may join it.
-PRIVATE_IMPORTS = {
-    ("cli", "composer", "_compose_with_failures"),
-    ("composer", "syntax", "_SexprNode"),
-    ("composer", "syntax", "_type_from_sexpr"),
-    ("hol", "syntax", "_SexprNode"),
-    ("hol", "syntax", "_type_from_sexpr"),
-}
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_name_imported_from_another_module(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     private = {(path.stem, (node.module or "").split(".")[-1], alias.name)
                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_") and node.module != "__future__"}
-    assert private - PRIVATE_IMPORTS == set()
+    assert private == set()
+
+
+# Top-level definitions that no module of the package uses and __init__ does
+# not export, kept because the tests use them: an oracle and a builder.
+UNUSED_ALLOWED = {("kernel", "is_eta_long"), ("inductives", "finite_set")}
+
+
+def test_every_definition_is_used_or_exported():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    used = set()  # every name read anywhere, except by the definition of that name itself
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            used |= {node.id for node in ast.walk(top) if isinstance(node, ast.Name) and node.id != own}
+            used |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr != own}
+    unused = {(stem, top.name) for stem, tree in trees.items() for top in tree.body
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in used | exported}
+    assert unused - UNUSED_ALLOWED == set()

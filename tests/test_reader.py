@@ -19,8 +19,9 @@ from polysem import errors
 from polysem.composer import parse_tree, parse_trees
 from polysem.errors import ParseError
 from polysem.hol import parse_formula
+from polysem.kernel import typecheck
 from polysem.lexicon import lexicon_problems
-from polysem.syntax import parse_sexpr, parse_term, parse_type
+from polysem.syntax import MAX_NESTING, parse_sexpr, parse_term, parse_type, print_term, print_type
 from reference_reader import parse_sexpr as reference_parse_sexpr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -302,3 +303,41 @@ def test_workload_texts_read_as_before():
             _assert_same_fields(w.lexicon_text)
             for item in w.items:
                 _assert_same(item.text)
+
+
+# ---------------------------------------------------------------------------
+# Nesting limit
+
+
+def test_deep_arrow_is_a_parse_error():
+    text = "(-> t " * 100_000 + "t" + ")" * 100_000
+    with pytest.raises(ParseError) as info:
+        parse_type(text)
+    # the 901st "(" opens the 901st list
+    assert MAX_NESTING == 900
+    assert (str(info.value), info.value.line, info.value.col) == ("1:5401: nesting deeper than 900", 1, 5401)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(" * 901 + ")" * 901, "1:901: nesting deeper than 900"),
+    ("(a\n" * 901, "901:1: nesting deeper than 900"),
+    ("(" * 900 + ")" * 901, "1:1801: trailing input ')'"),
+    ("(" * 900 + ")" * 899, "1:1: unclosed '('"),
+], ids=["too-deep", "too-deep-over-lines", "deepest-then-trailing", "deepest-unclosed"])
+def test_nesting_limit_and_the_errors_around_it(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_sexpr(text)
+    assert str(info.value) == message
+
+
+def test_deepest_allowed_text_reads_typechecks_and_prints_as_before(lex):
+    sig = lex.signature
+    arrow = "(-> t " * MAX_NESTING + "t" + ")" * MAX_NESTING
+    _assert_same(arrow)
+    assert print_type(parse_type(arrow)) == arrow
+    # the innermost binder list (x t) is the 900th open list
+    lams = "(lam (x t) " * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1)
+    _assert_same(lams)
+    term = parse_term(lams, sig)
+    assert print_term(term) == lams
+    assert print_type(typecheck(term, sig)) == "(-> t " * (MAX_NESTING - 1) + "t" + ")" * (MAX_NESTING - 1)
