@@ -473,7 +473,7 @@ def compose(tree: ParseTree, lex: Lexicon, limit: int = DEFAULT_LIMIT) -> list[A
 
 
 def compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
-                           ) -> tuple[list[Analysis], DiagnoseReport]:
+                          ) -> tuple[list[Analysis], DiagnoseReport]:
     """The analyses, and the search's failures when there are none."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
