@@ -39,6 +39,7 @@ from .syntax import (
     Arrow,
     Forall,
     Lam,
+    SPACE,
     SexprNode,
     Term,
     TyApp,
@@ -111,8 +112,8 @@ def parse_tree(text: str) -> ParseTree:
 def parse_trees(text: str) -> list[ParseTree]:
     """One tree per non-empty, non-comment line."""
     out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
+    for line in text.split("\n"):
+        line = line.split("#", 1)[0].strip(SPACE)
         if line:
             out.append(parse_tree(line))
     return out

@@ -439,11 +439,12 @@ def _formula_from_sexpr(node: SexprNode, sig: Signature, env: dict[str, Type]):
     if head in ("and", "implies"):
         if len(items) != 3:
             raise ParseError(f"({head} F F) expected", node.line, node.col)
-        return Conn(head, (_as_formula(items[1], sig, env), _as_formula(items[2], sig, env)))
+        return Conn(head, (_as_formula(items[1], _formula_from_sexpr(items[1], sig, env)),
+                           _as_formula(items[2], _formula_from_sexpr(items[2], sig, env))))
     if head == "not":
         if len(items) != 2:
             raise ParseError("(not F) expected", node.line, node.col)
-        return Conn("not", (_as_formula(items[1], sig, env),))
+        return Conn("not", (_as_formula(items[1], _formula_from_sexpr(items[1], sig, env)),))
     if head in _BINDER_TAGS or head == "lam":
         if (len(items) != 3 or items[1].items is None or len(items[1].items) != 2
                 or items[1].items[0].atom is None):
@@ -454,7 +455,7 @@ def _formula_from_sexpr(node: SexprNode, sig: Signature, env: dict[str, Type]):
         inner[var] = var_type
         if head == "lam":
             return HAbs(var, var_type, _formula_from_sexpr(items[2], sig, inner))
-        body = _as_formula(items[2], sig, inner)
+        body = _as_formula(items[2], _formula_from_sexpr(items[2], sig, inner))
         kind = _BINDER_TAGS[head]
         if kind in (FORALL, EXISTS):
             return Quant(kind, var, var_type, body)
@@ -487,8 +488,9 @@ def _formula_from_sexpr(node: SexprNode, sig: Signature, env: dict[str, Type]):
     return ConstApp(head, declared, tuple(ty_args), tuple(args))
 
 
-def _as_formula(node, sig, env) -> Formula:
-    out = _formula_from_sexpr(node, sig, env)
+def _as_formula(node: SexprNode, out) -> Formula:
+    """`out`, read from `node`, checked to be a formula: checked after the
+    read, so that each level of nesting takes one Python frame."""
     if not isinstance(out, Formula):
         raise ParseError("expected a formula", node.line, node.col)
     return out

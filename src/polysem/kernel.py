@@ -15,7 +15,6 @@ from .errors import (
     FuelExhausted,
     IllFormedType,
     NotNormal,
-    TypeCheckError,
     TypeMismatch,
     UnboundVariable,
 )
@@ -77,18 +76,17 @@ class NormalForm:
 
 
 def subst_type(ty: Type, var: str, replacement: Type) -> Type:
-    """Capture-avoiding [var := replacement] on a type."""
+    """Capture-avoiding [var := replacement] on a type.  A part in which `var`
+    is not free comes back as the same object."""
+    if var not in free_tyvars(ty):
+        return ty
     match ty:
-        case Base():
-            return ty
-        case TyVar(name):
-            return replacement if name == var else ty
+        case TyVar():
+            return replacement
         case Arrow(dom, cod):
             return Arrow(subst_type(dom, var, replacement), subst_type(cod, var, replacement))
         case Forall(binder, body):
-            if binder == var:
-                return ty
-            if binder in free_tyvars(replacement) and var in free_tyvars(body):
+            if binder in free_tyvars(replacement):
                 fresh = fresh_name(binder, free_tyvars(replacement) | free_tyvars(body) | {var})
                 body = subst_type(body, binder, TyVar(fresh))
                 binder = fresh
@@ -135,10 +133,11 @@ def substitute(term: Term, var: str, replacement: Term) -> Term:
 
 
 def substitute_ty(term: Term, var: str, replacement: Type) -> Term:
-    """Capture-avoiding type substitution [var := replacement] inside a term."""
+    """Capture-avoiding type substitution [var := replacement] inside a term.
+    A part in which `var` is not free comes back as the same object."""
+    if var not in free_tyvars_in_term(term):
+        return term
     match term:
-        case Var():
-            return term
         case Const():
             # constant types are closed over the signature's sorts
             return term
@@ -147,9 +146,7 @@ def substitute_ty(term: Term, var: str, replacement: Type) -> Term:
         case App(fn, arg):
             return App(substitute_ty(fn, var, replacement), substitute_ty(arg, var, replacement))
         case TyLam(binder, body):
-            if binder == var:
-                return term
-            if binder in free_tyvars(replacement) and var in free_tyvars_in_term(body):
+            if binder in free_tyvars(replacement):
                 fresh = fresh_name(binder, free_tyvars(replacement) | free_tyvars_in_term(body) | {var})
                 body = substitute_ty(body, binder, TyVar(fresh))
                 binder = fresh
@@ -518,15 +515,6 @@ def _eta_spine(term: Term, sig: Signature, ctx: TypingContext) -> Term:
             out = n if out is n.fn and arg is n.arg else App(out, arg)
             cur = cur.codomain
     return out
-
-
-def is_eta_long(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT) -> bool:
-    """A well-typed, beta-normal term is eta-long when eta-expansion leaves
-    it unchanged."""
-    try:
-        return _eta(term, typecheck(term, sig, ctx), sig, ctx) == term
-    except TypeCheckError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .inductives import NAT_SORT, register_finset, register_nat
 from .kernel import EMPTY_CONTEXT, expand_definitions, typecheck
 from .syntax import (
     PROP,
+    SPACE,
     Arrow,
     Base,
     Forall,
@@ -164,14 +165,14 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
     transfer_lines: list[tuple[int, str, str, str, str]] = []
     pragmas: list[str] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(SPACE)
         if not line:
             continue
         fields = line.split(None, 1)
         directive, rest = fields[0], (fields[1] if len(fields) > 1 else "")
         if directive == "sort":
-            name = rest.strip()
+            name = rest.strip(SPACE)
             if not name.startswith("e:") or len(name) <= 2:
                 fail(ParseError("sort takes an entity sort e:NAME", lineno, 1))
                 continue
@@ -183,14 +184,14 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             except ValueError:
                 fail(ParseError("coercion NAME : e:A -> e:B expected", lineno, 1))
                 continue
-            coercion_lines.append((lineno, name.strip(), src.strip(), dst.strip()))
+            coercion_lines.append((lineno, name.strip(SPACE), src.strip(SPACE), dst.strip(SPACE)))
         elif directive == "const":
             try:
                 name, ty_part = rest.split(":", 1)
             except ValueError:
                 fail(ParseError("const NAME : TYPE expected", lineno, 1))
                 continue
-            const_lines.append((lineno, name.strip(), ty_part.strip()))
+            const_lines.append((lineno, name.strip(SPACE), ty_part.strip(SPACE)))
         elif directive == "word":
             parts = rest.split(None, 2)
             if len(parts) != 3 or parts[1] != "main":
@@ -204,7 +205,7 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
                 continue
             transfer_lines.append((lineno, parts[0], parts[1], parts[2], parts[3]))
         elif directive == "use":
-            pragma = rest.strip()
+            pragma = rest.strip(SPACE)
             if pragma not in ("nat", "finset"):
                 fail(ParseError(f"unknown pragma {pragma!r}", lineno, 1))
                 continue

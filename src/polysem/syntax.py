@@ -68,19 +68,29 @@ def entity_sort(name: str) -> Sort:
 
 
 class Type:
-    """Base class of the type language.  Equality is alpha-equivalence."""
+    """Base class of the type language.  Equality is alpha-equivalence.  A node
+    stores its key, the key's hash and its free type variables on first use."""
 
     __slots__ = ()
+    _key = _hash = _ftv = None
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, Type):
             return NotImplemented
+        if self.__class__ is not other.__class__:
+            return False
+        if self.__class__ is Base:  # leaves compare their field, building no key
+            return self.sort == other.sort
+        if self.__class__ is TyVar:
+            return self.name == other.name
         return canon_type(self) == canon_type(other)
 
     def __hash__(self) -> int:
-        return hash(canon_type(self))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(canon_type(self)))
+        return self._hash
 
     def __str__(self) -> str:
         return print_type(self)
@@ -89,6 +99,7 @@ class Type:
 @dataclass(frozen=True, eq=False, repr=False)
 class Base(Type):
     sort: Sort
+    _ftv = frozenset()
 
     def __repr__(self):
         return f"Base({self.sort})"
@@ -151,19 +162,24 @@ def arrows(*types: Type) -> Type:
 
 
 class Term:
-    """Base class of the term language.  Equality is alpha-equivalence."""
+    """Base class of the term language.  Equality is alpha-equivalence.  A node
+    stores its key, the key's hash and its free term and type variables on
+    first use."""
 
     __slots__ = ()
+    _key = _hash = _fv = _ftv = None
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        return canon_term(self) == canon_term(other)
+        return self.__class__ is other.__class__ and canon_term(self) == canon_term(other)
 
     def __hash__(self) -> int:
-        return hash(canon_term(self))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(canon_term(self)))
+        return self._hash
 
     def __str__(self) -> str:
         return print_term(self)
@@ -172,6 +188,7 @@ class Term:
 @dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
     name: str
+    _ftv = frozenset()
 
     def __repr__(self):
         return f"Var({self.name})"
@@ -181,6 +198,7 @@ class Var(Term):
 class Const(Term):
     name: str
     declared_type: Type
+    _fv = frozenset()
 
     def __repr__(self):
         return f"Const({self.name})"
@@ -257,52 +275,59 @@ def spine_nodes(term: Term) -> tuple[Term, list[Union[App, TyApp]]]:
 
 # ---------------------------------------------------------------------------
 # Canonical (de Bruijn) keys: the carrier of alpha-equivalence and hashing
+#
+# A bound variable's index counts the binders between it and its own, so a
+# part whose free variables `env` does not bind has the key it has on its
+# own.  That key is built once and stored on the node, and only the parts
+# that mention a name bound outside them are built again.
 
 
 def canon_type(ty: Type, env: Mapping[str, int] = {}, depth: int = 0):
+    shared = not env or free_tyvars(ty).isdisjoint(env)
+    if shared and ty._key is not None:
+        return ty._key
     match ty:
         case Base(sort):
-            return ("b", sort.kind, sort.name)
+            key = ("b", sort.kind, sort.name)
         case TyVar(name):
-            if name in env:
-                return ("i", depth - env[name])
-            return ("f", name)
+            key = ("i", depth - env[name]) if name in env else ("f", name)
         case Arrow(dom, cod):
-            return ("->", canon_type(dom, env, depth), canon_type(cod, env, depth))
+            key = ("->", canon_type(dom, env, depth), canon_type(cod, env, depth))
         case Forall(binder, body):
-            inner = dict(env)
-            inner[binder] = depth
-            return ("all", canon_type(body, inner, depth + 1))
+            key = ("all", canon_type(body, {**env, binder: depth}, depth + 1))
         case SetOf(elem):
-            return ("set", canon_type(elem, env, depth))
-    raise TypeError(f"not a Type: {ty!r}")
+            key = ("set", canon_type(elem, env, depth))
+        case _:
+            raise TypeError(f"not a Type: {ty!r}")
+    if shared:
+        object.__setattr__(ty, "_key", key)
+    return key
 
 
 def canon_term(term: Term, tenv: Mapping[str, int] = {}, tyenv: Mapping[str, int] = {}, depth: int = 0):
+    shared = ((not tenv or free_vars(term).isdisjoint(tenv))
+              and (not tyenv or free_tyvars_in_term(term).isdisjoint(tyenv)))
+    if shared and term._key is not None:
+        return term._key
     match term:
         case Var(name):
-            if name in tenv:
-                return ("i", depth - tenv[name])
-            return ("fv", name)
+            key = ("i", depth - tenv[name]) if name in tenv else ("fv", name)
         case Const(name, declared):
-            return ("c", name, canon_type(declared, tyenv, depth))
+            key = ("c", name, canon_type(declared, tyenv, depth))
         case Lam(binder, binder_type, body):
-            inner = dict(tenv)
-            inner[binder] = depth
-            return (
-                "lam",
-                canon_type(binder_type, tyenv, depth),
-                canon_term(body, inner, tyenv, depth + 1),
-            )
+            key = ("lam", canon_type(binder_type, tyenv, depth),
+                   canon_term(body, {**tenv, binder: depth}, tyenv, depth + 1))
         case App(fn, arg):
-            return ("app", canon_term(fn, tenv, tyenv, depth), canon_term(arg, tenv, tyenv, depth))
+            key = ("app", canon_term(fn, tenv, tyenv, depth), canon_term(arg, tenv, tyenv, depth))
         case TyLam(binder, body):
-            inner = dict(tyenv)
-            inner[binder] = depth
-            return ("tlam", canon_term(body, tenv, inner, depth + 1))
+            key = ("tlam", canon_term(body, tenv, {**tyenv, binder: depth}, depth + 1))
         case TyApp(fn, ty_arg):
-            return ("tapp", canon_term(fn, tenv, tyenv, depth), canon_type(ty_arg, tyenv, depth))
-    raise TypeError(f"not a Term: {term!r}")
+            key = ("tapp", canon_term(fn, tenv, tyenv, depth), canon_type(ty_arg, tyenv, depth))
+        case _:
+            raise TypeError(f"not a Term: {term!r}")
+    if shared:
+        object.__setattr__(term, "_key", key)
+    return key
 
 
 def alpha_eq(a, b) -> bool:
@@ -319,52 +344,56 @@ def alpha_eq(a, b) -> bool:
 
 
 def free_tyvars(ty: Type) -> frozenset[str]:
-    match ty:
-        case Base():
-            return frozenset()
-        case TyVar(name):
-            return frozenset((name,))
-        case Arrow(dom, cod):
-            return free_tyvars(dom) | free_tyvars(cod)
-        case Forall(binder, body):
-            return free_tyvars(body) - {binder}
-        case SetOf(elem):
-            return free_tyvars(elem)
-    raise TypeError(f"not a Type: {ty!r}")
+    if ty._ftv is None:
+        match ty:
+            case TyVar(name):
+                out = frozenset((name,))
+            case Arrow(dom, cod):
+                out = free_tyvars(dom) | free_tyvars(cod)
+            case Forall(binder, body):
+                out = free_tyvars(body) - {binder}
+            case SetOf(elem):
+                out = free_tyvars(elem)
+            case _:
+                raise TypeError(f"not a Type: {ty!r}")
+        object.__setattr__(ty, "_ftv", out)
+    return ty._ftv
 
 
 def free_vars(term: Term) -> frozenset[str]:
-    match term:
-        case Var(name):
-            return frozenset((name,))
-        case Const():
-            return frozenset()
-        case Lam(binder, _, body):
-            return free_vars(body) - {binder}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case TyLam(_, body):
-            return free_vars(body)
-        case TyApp(fn, _):
-            return free_vars(fn)
-    raise TypeError(f"not a Term: {term!r}")
+    if term._fv is None:
+        match term:
+            case Var(name):
+                out = frozenset((name,))
+            case Lam(binder, _, body):
+                out = free_vars(body) - {binder}
+            case App(fn, arg):
+                out = free_vars(fn) | free_vars(arg)
+            case TyLam(_, inner) | TyApp(inner, _):
+                out = free_vars(inner)
+            case _:
+                raise TypeError(f"not a Term: {term!r}")
+        object.__setattr__(term, "_fv", out)
+    return term._fv
 
 
 def free_tyvars_in_term(term: Term) -> frozenset[str]:
-    match term:
-        case Var():
-            return frozenset()
-        case Const(_, declared):
-            return free_tyvars(declared)
-        case Lam(_, binder_type, body):
-            return free_tyvars(binder_type) | free_tyvars_in_term(body)
-        case App(fn, arg):
-            return free_tyvars_in_term(fn) | free_tyvars_in_term(arg)
-        case TyLam(binder, body):
-            return free_tyvars_in_term(body) - {binder}
-        case TyApp(fn, ty_arg):
-            return free_tyvars_in_term(fn) | free_tyvars(ty_arg)
-    raise TypeError(f"not a Term: {term!r}")
+    if term._ftv is None:
+        match term:
+            case Const(_, declared):
+                out = free_tyvars(declared)
+            case Lam(_, binder_type, body):
+                out = free_tyvars(binder_type) | free_tyvars_in_term(body)
+            case App(fn, arg):
+                out = free_tyvars_in_term(fn) | free_tyvars_in_term(arg)
+            case TyLam(binder, body):
+                out = free_tyvars_in_term(body) - {binder}
+            case TyApp(fn, ty_arg):
+                out = free_tyvars_in_term(fn) | free_tyvars(ty_arg)
+            case _:
+                raise TypeError(f"not a Term: {term!r}")
+        object.__setattr__(term, "_ftv", out)
+    return term._ftv
 
 
 def check_wf_type(ty: Type, sorts: frozenset[Sort], tyvars: frozenset[str] = frozenset(), path: tuple = ()) -> None:
@@ -459,6 +488,7 @@ class Signature:
 
 MAX_NESTING = 900  # lists open at once; leaves the recursive walks room under Python's default limit
 
+SPACE = " \t\r\n"  # the reader's whitespace; line-oriented files break lines at "\n" alone
 _TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")
 
 

@@ -188,7 +188,8 @@ def test_criterion_7_formula_totality(lex, fixture_dir):
         formula = extract_formula(nf, lex.signature)  # must not raise
         assert alpha_eq(formula_to_term(formula, lex.signature), nf.term)
         checked += 1
-    from polysem.kernel import is_beta_normal, is_eta_long
+    from polysem.kernel import is_beta_normal
+    from test_kernel import is_eta_long
 
     rng = random.Random(777)
     for i in range(500):

@@ -32,8 +32,8 @@ def test_no_private_name_imported_from_another_module(path):
 
 
 # Top-level definitions that no module of the package uses and __init__ does
-# not export, kept because the tests use them: an oracle and a builder.
-UNUSED_ALLOWED = {("kernel", "is_eta_long"), ("inductives", "finite_set")}
+# not export, kept because the tests use them: a builder.
+UNUSED_ALLOWED = {("inductives", "finite_set")}
 
 
 def test_every_definition_is_used_or_exported():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from polysem import kernel
-from polysem.errors import FuelExhausted, TypeMismatch, UnboundVariable
+from polysem.errors import FuelExhausted, TypeCheckError, TypeMismatch, UnboundVariable
 from polysem.kernel import (
     EMPTY_CONTEXT,
     LEFTMOST_OUTERMOST,
@@ -15,7 +15,6 @@ from polysem.kernel import (
     eta_expand,
     expand_definitions,
     is_beta_normal,
-    is_eta_long,
     match_type,
     normalize,
     reduce_once,
@@ -53,6 +52,15 @@ from polysem.syntax import (
 )
 
 from test_composer import RECURSOR_CORPUS, _recursor_signature
+
+
+def is_eta_long(term: Term, sig, ctx=EMPTY_CONTEXT) -> bool:
+    """A well-typed, beta-normal term is eta-long when eta-expansion leaves
+    it unchanged."""
+    try:
+        return eta_expand(term, sig, ctx).term == term
+    except TypeCheckError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 ERROR_TABLE and LEXICON_TABLE pin, for malformed types, terms, trees,
 formulas and lexicon lines, the exact error (class, message, line and
-column) the reader gave before it was rewritten as a single loop; no entry
-may change.  The differential tests compare the reader with that earlier
-reader, kept in reference_reader.py, node by node (atom, line and column)
-or error by error.
+column) the reader gave before it was rewritten as a single loop.  Two
+entries changed since, when tree and lexicon files stopped breaking lines at
+form feed; they are marked.  No other entry may change.  The differential
+tests compare the reader with that earlier reader, kept in
+reference_reader.py, node by node (atom, line and column) or error by error.
 """
 
 import importlib.util
@@ -20,7 +21,7 @@ from polysem.composer import parse_tree, parse_trees
 from polysem.errors import ParseError
 from polysem.hol import parse_formula
 from polysem.kernel import typecheck
-from polysem.lexicon import lexicon_problems
+from polysem.lexicon import load_lexicon, lexicon_problems
 from polysem.syntax import MAX_NESTING, parse_sexpr, parse_term, parse_type, print_term, print_type
 from reference_reader import parse_sexpr as reference_parse_sexpr
 
@@ -132,7 +133,8 @@ ERROR_TABLE = [
     ('tree', ')', ('ParseError', "1:1: unexpected ')'", 1, 1)),
     ('trees', '(LEAF a) # x\n(NODE (LEAF a)\n', ('ParseError', "1:1: unclosed '('", 1, 1)),
     ('trees', '# only\n\n(LEAF)\n', ('ParseError', '1:1: (LEAF word) expected', 1, 1)),
-    ('trees', '(LEAF\x0ca)', ('ParseError', "1:1: unclosed '('", 1, 1)),
+    # lines break at "\n" alone, so form feed stays inside the line, as in 'tree'
+    ('trees', '(LEAF\x0ca)', ('ParseError', "1:1: unknown tree form 'LEAF\\x0ca'", 1, 1)),
     ('trees', '(LEAF a)\r\n(LEAF b) c\r\n', ('ParseError', "1:10: trailing input 'c'", 1, 10)),
     ('trees', '(NODE (LEAF a) # (LEAF b))\n', ('ParseError', "1:1: unclosed '('", 1, 1)),
     ('trees', '\t(TY (LEAF a) (set))', ('ParseError', '1:14: (set T) takes exactly one type', 1, 14)),
@@ -178,8 +180,9 @@ LEXICON_TABLE = [
      ["entry 'a': 1:17: trailing input 'rex'", "entry 'b': 1:9: (-> T T) takes exactly two types", "entry 'c': 1:12: unknown constant 'zzz'"]),
     ('const p : (all a\r\nconst q : (-> t e:nope)',
      ["1:1: in const p: 1:1: unclosed '('", '2:1: in const q: 1:7: undeclared sort e:nope']),
+    # lines break at "\n" alone: the form feed is part of the atom e:a\x0ct
     ('sort e:a\nconst λ : (-> e:a\x0ct)',
-     ["3:1: unknown directive 't)'", "2:1: in const λ: 1:1: unclosed '('"]),
+     ['2:1: in const λ: 1:1: (-> T T) takes exactly two types']),
     ('sort e:a\ncoercion c : e:a -> (e:b)\nconst k : (set t t)\nword k main (tapp AND (-> t))',
      ["2:1: in coercion c: 1:1: unknown type form 'e:b'", '3:1: in const k: 1:1: (set T) takes exactly one type', "entry 'k': 1:11: (-> T T) takes exactly two types"]),
     ('word-transfer w l rigid (app\n',
@@ -292,17 +295,83 @@ def test_fixture_lines_read_as_before():
         _assert_same_fields(path.read_text(encoding="utf-8"))
 
 
-def test_workload_texts_read_as_before():
+def load_workloads():
+    """perfbench/workloads.py, the benchmark's workload generators."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up there
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_workload_texts_read_as_before():
+    workloads = load_workloads()
     for name in workloads.WORKLOADS:
         for seed in (1, 2, 3):
             w = workloads.make_workload(name, seed)
             _assert_same_fields(w.lexicon_text)
             for item in w.items:
                 _assert_same(item.text)
+
+
+# ---------------------------------------------------------------------------
+# Line-oriented files: lines break at "\n" alone
+
+# str.splitlines() and str.strip() also break and strip at these; the reader
+# reads them as atom characters
+NOT_READER_SPACE = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\xa0", "\u2028", "\u2029")
+TREE_PIECES = ("(", ")", "LEAF", "NODE", "TY", "book", "e:dog", "λ", " ", "\t", "\r") + NOT_READER_SPACE
+
+
+def _tree_text(rng: random.Random, depth: int) -> str:
+    gap = rng.choice(NOT_READER_SPACE) if rng.random() < 0.05 else rng.choice((" ", "\t", " \r "))
+    roll = rng.random()
+    if depth > 4 or roll < 0.4:
+        return f"(LEAF{gap}{rng.choice(('book', 'a', 'λ'))})"
+    if roll < 0.8:
+        return f"(NODE{gap}{_tree_text(rng, depth + 1)}{gap}{_tree_text(rng, depth + 1)})"
+    return f"(TY{gap}{_tree_text(rng, depth + 1)}{gap}{rng.choice(('e:dog', '(set t)', 't'))})"
+
+
+def one_line_text(rng: random.Random) -> str:
+    """A tree over every separator but "\n", or character soup, padded."""
+    if rng.random() < 0.3:
+        return "".join(rng.choices(TREE_PIECES, k=rng.randrange(0, 16)))
+    text = _tree_text(rng, 0)
+    if rng.random() < 0.4:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(TREE_PIECES) + text[i:]
+    return rng.choice(("", " ", "\t\r", "\x0c")) + text + rng.choice(("", "\r", " \t", " \x0c", "\u2028"))
+
+
+def _trees(parse, text: str):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return ("error", type(e), str(e), e.line, e.col)
+
+
+def test_parse_trees_reads_one_line_as_parse_tree_does():
+    """parse_trees reads a line from its first character that is not the
+    reader's whitespace: the same trees, or the same error, as parse_tree."""
+    rng = random.Random(18)
+    read = 0
+    for _ in range(20_000):
+        text = one_line_text(rng)
+        line = text.lstrip(" \t\r")
+        expected = _trees(lambda t: [parse_tree(t)], line) if line.strip(" \t\r") else []
+        assert _trees(parse_trees, text) == expected, repr(text)
+        read += isinstance(expected, list) and expected != []
+    assert read > 2_000
+
+
+def test_crlf_files_load_as_lf_files(lex):
+    lex_text = (ROOT / "fixtures" / "english.lex").read_text(encoding="utf-8")
+    crlf = load_lexicon(lex_text.replace("\n", "\r\n"))
+    assert (crlf.signature, crlf.entries) == (lex.signature, lex.entries)
+    trees_text = (ROOT / "fixtures" / "trees.txt").read_text(encoding="utf-8")
+    assert parse_trees(trees_text.replace("\n", "\r\n")) == parse_trees(trees_text)
+    assert lexicon_problems("sort e:a\r\nconst p : (-> e:b t)\r\n") == ["2:1: in const p: 1:5: undeclared sort e:b"]
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +410,22 @@ def test_deepest_allowed_text_reads_typechecks_and_prints_as_before(lex):
     term = parse_term(lams, sig)
     assert print_term(term) == lams
     assert print_type(typecheck(term, sig)) == "(-> t " * (MAX_NESTING - 1) + "t" + ")" * (MAX_NESTING - 1)
+
+
+def test_deepest_allowed_formulas_read(lex):
+    """A formula level takes one Python frame, so every formula the reader
+    admits reads, and a malformed one raises ParseError."""
+    sig = lex.signature
+    n = MAX_NESTING - 1
+    for text, step in [
+        ("(not " * n + "(barks rex)" + ")" * n, lambda f: f.args[0]),
+        ("(and (barks rex) " * n + "(barks rex)" + ")" * n, lambda f: f.args[1]),
+        ("(forall (x e:dog) " * n + "(barks x)" + ")" * n, lambda f: f.body),
+    ]:
+        f = parse_formula(text, sig)
+        for _ in range(n):
+            f = step(f)
+        assert f.pred == "barks"
+    with pytest.raises(ParseError) as info:
+        parse_formula("(not " * (n - 1) + "(lam (x e:dog) x)" + ")" * (n - 1), sig)
+    assert str(info.value) == f"1:{5 * (n - 1) + 1}: expected a formula"
