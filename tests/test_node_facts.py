@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 import reference_syntax as ref
-from polysem.composer import compose, parse_tree, parse_trees
+from polysem.composer import DEFAULT_LIMIT, compose, parse_tree, parse_trees
 from polysem.inductives import register_finset, register_nat
 from polysem.kernel import eta_expand, expand_definitions, normalize, subst_type, substitute_ty
 from polysem.lexicon import builtin_signature, load_lexicon
@@ -59,10 +59,10 @@ def _generated():
     return out
 
 
-def _readings(lex, trees, limit=None):
+def _readings(lex, trees, limit=DEFAULT_LIMIT):
     out = []
     for tree in trees:
-        for a in compose(tree, lex, *([limit] if limit else [])):
+        for a in compose(tree, lex, limit):
             out += [a.term, a.normal_term]
             if a.result_type == PROP:
                 out.append(eta_expand(a.normal_term, lex.signature).term)
