@@ -5,7 +5,8 @@
 
 Tree k is `perfbench.workloads.ambiguity_tree(random.Random(1), k, False)`,
 with 2^k readings.  One JSON line per k: the median of 5 `compose` times, and
-the reduction steps (contractions) of one more `compose`.
+the reduction steps (contractions, summed over `NormalForm.steps`) of one
+more `compose`.
 """
 
 import json
@@ -19,26 +20,27 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import AMBIGUITY_LEXICON, ambiguity_tree  # noqa: E402
-from polysem import composer, kernel  # noqa: E402
+from polysem import composer  # noqa: E402
 from polysem.lexicon import load_lexicon  # noqa: E402
 
 LIMIT, REPEATS = 16, 5
 
 
 def counted_compose(tree, lex) -> dict:
+    """One `compose`, with the contractions its `normalize` calls report."""
     counts = {"reduce_steps": 0}
-    reduce_once = kernel.reduce_once
+    normalize = composer.normalize
 
     def counted(*args):
-        out = reduce_once(*args)
-        counts["reduce_steps"] += out is not None
-        return out
+        nf = normalize(*args)
+        counts["reduce_steps"] += nf.steps
+        return nf
 
-    kernel.reduce_once = counted
+    composer.normalize = counted
     try:
         counts["analyses"] = len(composer.compose(tree, lex, LIMIT))
     finally:
-        kernel.reduce_once = reduce_once
+        composer.normalize = normalize
     return counts
 
 

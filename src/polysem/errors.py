@@ -11,8 +11,7 @@ class ParseError(PolysemError):
     """Malformed source text, with 1-based line/column when known."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
-        self.line = line
-        self.col = col
+        self.line, self.col, self.reason = line, col, message
         if line:
             message = f"{line}:{col}: {message}"
         super().__init__(message)

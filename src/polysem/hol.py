@@ -265,71 +265,58 @@ def type_order(ty: Type) -> int:
             return 1
         case Arrow(dom, cod):
             return max(type_order(dom) + 1, type_order(cod))
-        case Forall(_, body):
-            return type_order(body)
-        case SetOf(elem):
-            return type_order(elem)
+        case Forall(_, inner) | SetOf(inner):
+            return type_order(inner)
     raise TypeError(f"not a Type: {ty!r}")
 
 
-def _entity_sorts_in(ty: Type, acc: set[Sort], walked: set[int]) -> None:
-    """Add the entity sorts of `ty` to `acc`, skipping the type objects whose
-    ids are in `walked`: the caller keeps them alive."""
-    if id(ty) in walked:
-        return
-    walked.add(id(ty))
-    match ty:
-        case Base(sort):
-            if sort.kind == "entity":
-                acc.add(sort)
-        case TyVar():
-            pass
-        case Arrow(dom, cod):
-            _entity_sorts_in(dom, acc, walked)
-            _entity_sorts_in(cod, acc, walked)
-        case Forall(_, body):
-            _entity_sorts_in(body, acc, walked)
-        case SetOf(elem):
-            _entity_sorts_in(elem, acc, walked)
+def _entity_sorts_into(ty: Type, acc: set[Sort]) -> None:
+    """Add the entity sorts of `ty` to `acc`: a loop, as it runs on each type of each node."""
+    while isinstance(ty, (Arrow, Forall, SetOf)):
+        if isinstance(ty, Arrow):
+            _entity_sorts_into(ty.domain, acc)
+        ty = ty.codomain if isinstance(ty, Arrow) else ty.body if isinstance(ty, Forall) else ty.elem
+    if isinstance(ty, Base) and ty.sort.kind == "entity":
+        acc.add(ty.sort)
 
 
 def classify(f: Union[Formula, HolTerm]) -> LogicProfile:
     """Order is the maximum order of any quantified or Hilbert-bound type
     (1 for quantifier-free formulas); sorts counts the distinct entity sorts
-    occurring anywhere in the formula.  Each type object is walked once."""
-    orders: list[int] = [1]
-    sorts: set[Sort] = set()
-    walked: set[int] = set()
+    occurring anywhere in the formula."""
+    order, sorts = _profile(f)
+    return LogicProfile(order=order, sorts=len(sorts))
 
-    def walk(node):
-        match node:
-            case Atom(_, pred_type, ty_args, args) | ConstApp(_, pred_type, ty_args, args):
-                _entity_sorts_in(pred_type, sorts, walked)
-                for t in ty_args:
-                    _entity_sorts_in(t, sorts, walked)
-                for a in args:
-                    walk(a)
-            case Conn(_, args):
-                for a in args:
-                    walk(a)
-            case Quant(_, _, sort_type, body) | Hilbert(_, _, sort_type, body):
-                orders.append(type_order(sort_type))
-                _entity_sorts_in(sort_type, sorts, walked)
-                walk(body)
-            case HVar(_, var_type):
-                _entity_sorts_in(var_type, sorts, walked)
-            case HAbs(_, var_type, body):
-                _entity_sorts_in(var_type, sorts, walked)
-                walk(body)
-            case HTyAbs(_, body):
-                walk(body)
-            case Embed(formula):
-                walk(formula)
-            case _:
-                raise TypeError(f"not a Formula or HolTerm: {node!r}")
 
-    walk(f)
-    return LogicProfile(order=max(orders), sorts=len(sorts))
+def _profile(node) -> tuple[int, set[Sort]]:
+    """The order and the entity sorts of `node`, stored on it: a tree's readings share subformulas."""
+    if (out := getattr(node, "_profile", None)) is not None:
+        return out
+    order = 1
+    match node:
+        case Atom(_, pred_type, ty_args, args) | ConstApp(_, pred_type, ty_args, args):
+            types, parts = (pred_type, *ty_args), args
+        case Conn(_, args):
+            types, parts = (), args
+        case Quant(_, _, sort_type, body) | Hilbert(_, _, sort_type, body):
+            types, parts, order = (sort_type,), (body,), type_order(sort_type)
+        case HVar(_, var_type):
+            types, parts = (var_type,), ()
+        case HAbs(_, var_type, body):
+            types, parts = (var_type,), (body,)
+        case HTyAbs(_, body) | Embed(body):
+            types, parts = (), (body,)
+        case _:
+            raise TypeError(f"not a Formula or HolTerm: {node!r}")
+    sorts = set()
+    for p in parts:
+        o, s = _profile(p)
+        order = max(order, o)
+        sorts |= s
+    for t in types:
+        _entity_sorts_into(t, sorts)
+    object.__setattr__(node, "_profile", (order, sorts))
+    return order, sorts
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +336,30 @@ def print_formula(f: Union[Formula, HolTerm], style: str = SEXPR) -> str:
 
 
 def _print_sexpr(f) -> str:
+    """The s-expression of `f`, stored on it: a tree's readings share subformulas."""
+    if (out := getattr(f, "_sexpr", None)) is not None:
+        return out
     match f:
         case Atom(pred, _, ty_args, args) | ConstApp(pred, _, ty_args, args):
             parts = [pred] + [print_type(t) for t in ty_args] + [_print_sexpr(a) for a in args]
-            return parts[0] if len(parts) == 1 else "(" + " ".join(parts) + ")"
+            out = parts[0] if len(parts) == 1 else "(" + " ".join(parts) + ")"
         case Conn(conn, args):
-            return "(" + " ".join([conn] + [_print_sexpr(a) for a in args]) + ")"
-        case Quant(kind, var, sort_type, body):
-            return f"({kind} ({var} {print_type(sort_type)}) {_print_sexpr(body)})"
-        case Hilbert(kind, var, sort_type, body):
-            tag = "eps" if kind == EPSILON else "tau"
-            return f"({tag} ({var} {print_type(sort_type)}) {_print_sexpr(body)})"
+            out = "(" + " ".join([conn] + [_print_sexpr(a) for a in args]) + ")"
+        case Quant(kind, var, sort_type, body) | Hilbert(kind, var, sort_type, body):
+            tag = "eps" if kind == EPSILON else kind
+            out = f"({tag} ({var} {print_type(sort_type)}) {_print_sexpr(body)})"
         case HVar(name, _):
-            return name
+            out = name
         case HAbs(var, var_type, body):
-            return f"(lam ({var} {print_type(var_type)}) {_print_sexpr(body)})"
+            out = f"(lam ({var} {print_type(var_type)}) {_print_sexpr(body)})"
         case HTyAbs(var, body):
-            return f"(tlam {var} {_print_sexpr(body)})"
+            out = f"(tlam {var} {_print_sexpr(body)})"
         case Embed(formula):
-            return _print_sexpr(formula)
-    raise TypeError(f"not a Formula or HolTerm: {f!r}")
+            out = _print_sexpr(formula)
+        case _:
+            raise TypeError(f"not a Formula or HolTerm: {f!r}")
+    object.__setattr__(f, "_sexpr", out)
+    return out
 
 
 def _sort_label(ty: Type) -> str:

@@ -9,6 +9,7 @@ heads.  Eta-long forms are computed only after beta-normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 from .errors import (
@@ -69,6 +70,7 @@ EMPTY_CONTEXT = TypingContext()
 @dataclass(frozen=True)
 class NormalForm:
     term: Term
+    steps: int = 0  # the contractions `normalize` made
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +318,14 @@ def is_beta_normal(term: Term, sig: Signature) -> bool:
 def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
               strategy: str = LEFTMOST_OUTERMOST) -> NormalForm:
     """Beta-normalize (including type-beta and recursor rules) by the contractions
-    of iterating reduce_once, in its order, at most `fuel` in the call.  The
-    normal form of a λ/Λ body or of an argument but a recursor's scrutinee is
-    remembered on its node per signature and strategy, and then costs no steps."""
+    of iterating reduce_once, in its order, at most `fuel` in the call, counted in
+    `steps`.  The normal form of a λ/Λ body or of an argument but a recursor's
+    scrutinee is remembered on its node per signature and strategy, and then costs no steps."""
     if strategy not in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
         raise ValueError(f"unknown strategy {strategy!r}")
-    return NormalForm((_lo if strategy == LEFTMOST_OUTERMOST else _ri)(term, sig, [fuel, fuel]))
+    left = [fuel, fuel]
+    out = (_lo if strategy == LEFTMOST_OUTERMOST else _ri)(term, sig, left)
+    return NormalForm(out, fuel - left[0])
 
 
 def _fire(redex: Term, rest: list, sig: Signature, fuel: list) -> Term:
@@ -333,6 +337,57 @@ def _fire(redex: Term, rest: list, sig: Signature, fuel: list) -> Term:
     for n in rest:
         term = App(term, n.arg) if isinstance(n, App) else TyApp(term, n.ty_arg)
     return term
+
+
+def _fire_run(head: Term, nodes: list, sig: Signature, fuel: list) -> Term:
+    """Contract the λ/Λ `head` against `nodes[0]`.  A run of two or more of its
+    binders meeting closed arguments takes one walk, and n fuel for n binders."""
+    n, body = 0, head
+    for node in nodes:
+        # closed: a constant, a term typed in the empty context, a type stored as free of variables
+        if n >= fuel[0] or not (isinstance(node, App) and isinstance(body, Lam) and (
+                isinstance(node.arg, Const) or hasattr(node.arg, "_type_memo"))
+                or isinstance(node, TyApp) and isinstance(body, TyLam) and node.ty_arg._ftv == frozenset()):
+            break
+        body, n = body.body, n + 1
+    if n < 2:
+        return _fire(nodes[0], nodes[1:], sig, fuel)
+    fuel[0] -= n
+    env, tyenv, binder = {}, {}, head
+    for node in nodes[:n]:
+        if isinstance(node, App):
+            env[binder.binder] = node.arg
+        else:
+            tyenv[binder.binder] = node.ty_arg
+        binder = binder.body
+    term = _subst_closed(body, env, tyenv)
+    for node in nodes[n:]:
+        term = App(term, node.arg) if isinstance(node, App) else TyApp(term, node.ty_arg)
+    return term
+
+
+def _subst_closed(term: Term, env: dict, tyenv: dict) -> Term:
+    """`term` with the variables of `env` and `tyenv` replaced at once by closed terms and types, which no
+    binder captures: what substitute and substitute_ty build one by one.  Untouched parts come back as they are."""
+    if not env and not tyenv or isinstance(term, Const):
+        return term
+    match term:
+        case Var(name):
+            return env.get(name, term)
+        case Lam(binder, binder_type, body):
+            ty = reduce(lambda t, vr: subst_type(t, *vr), tyenv.items(), binder_type)
+            b = _subst_closed(body, {v: r for v, r in env.items() if v != binder}, tyenv)
+            return term if b is body and ty is binder_type else Lam(binder, ty, b)
+        case App(fn, arg):
+            f, a = _subst_closed(fn, env, tyenv), _subst_closed(arg, env, tyenv)
+            return term if f is fn and a is arg else App(f, a)
+        case TyLam(binder, body):
+            b = _subst_closed(body, env, {v: r for v, r in tyenv.items() if v != binder})
+            return term if b is body else TyLam(binder, b)
+        case TyApp(fn, ty_arg):
+            f, ty = _subst_closed(fn, env, tyenv), reduce(lambda t, vr: subst_type(t, *vr), tyenv.items(), ty_arg)
+            return term if f is fn and ty is ty_arg else TyApp(f, ty)
+    raise TypeError(f"not a Term: {term!r}")
 
 
 def _remembered(term: Term, sig: Signature, strategy: str) -> Optional[Term]:
@@ -359,7 +414,7 @@ def _lo(term: Term, sig: Signature, fuel: list, stop: Optional[str] = None) -> T
         head, nodes = spine_nodes(t)
         k = _scrutinee(head, nodes, sig)
         if nodes and isinstance(head, (Lam, TyLam)) and isinstance(nodes[0], App if isinstance(head, Lam) else TyApp):
-            t = _fire(nodes[0], nodes[1:], sig, fuel)
+            t = _fire_run(head, nodes, sig, fuel)
         elif k is not None and _rule_for(head.name, nodes[k].arg, sig):
             t = _fire(nodes[k], nodes[k + 1:], sig, fuel)
         else:

@@ -34,7 +34,6 @@ from .inductives import NAT_SORT, register_finset, register_nat
 from .kernel import EMPTY_CONTEXT, expand_definitions, typecheck
 from .syntax import (
     PROP,
-    SPACE,
     Arrow,
     Base,
     Forall,
@@ -125,14 +124,19 @@ def transfers_for(lex: Lexicon, word: str) -> list[TransferTerm]:
     return list(lex.entry(word).transfers)
 
 
-def _closed_typed(term_txt: str, sig: Signature, word: str) -> tuple[Term, Type]:
-    """An entry's term, definitions expanded, and its closed type."""
+def _closed_typed(term_txt: str, sig: Signature, word: str, lineno: int, col: int) -> tuple[Term, Type]:
+    """An entry's term, found at column `col` of line `lineno`, definitions expanded, and its closed type."""
     try:
         term = expand_definitions(parse_term(term_txt, sig, allow_free=False), sig)
         ty = typecheck(term, sig, EMPTY_CONTEXT)
     except PolysemError as e:
-        raise TypeErrorInEntry(word, e) from None
+        raise TypeErrorInEntry(word, _in_file(e, lineno, col)) from None
     return term, ty
+
+
+def _in_file(e: PolysemError, lineno: int, col: int) -> PolysemError:
+    """`e`, met reading a text found at column `col` of line `lineno`, at its place in the file."""
+    return type(e)(e.reason, lineno, col + e.col - 1) if isinstance(e, ParseError) and e.line else e
 
 
 def load_lexicon(text: str) -> Lexicon:
@@ -159,20 +163,22 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             raise exc
 
     sort_lines: list[tuple[int, str]] = []
-    coercion_lines: list[tuple[int, str, str, str]] = []
-    const_lines: list[tuple[int, str, str]] = []
-    word_lines: list[tuple[int, str, str]] = []
-    transfer_lines: list[tuple[int, str, str, str, str]] = []
+    # each TYPE and TERM comes with the column it starts at
+    coercion_lines: list[tuple[int, str, str, int, str, int]] = []
+    const_lines: list[tuple[int, str, str, int]] = []
+    word_lines: list[tuple[int, str, str, int]] = []
+    transfer_lines: list[tuple[int, str, str, str, str, int]] = []
     pragmas: list[str] = []
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip(SPACE)
-        if not line:
+    # tab and CR separate fields as spaces do, and keep the reader's columns; a TYPE
+    # or TERM runs to the end of `line`, so its column is len(line) + 1 - len(text)
+    for lineno, raw in enumerate(text.replace("\t", " ").replace("\r", " ").split("\n"), start=1):
+        line = raw.split("#", 1)[0].rstrip(" ")
+        directive, _, rest = line.lstrip(" ").partition(" ")
+        if not directive:
             continue
-        fields = line.split(None, 1)
-        directive, rest = fields[0], (fields[1] if len(fields) > 1 else "")
         if directive == "sort":
-            name = rest.strip(SPACE)
+            name = rest.strip(" ")
             if not name.startswith("e:") or len(name) <= 2:
                 fail(ParseError("sort takes an entity sort e:NAME", lineno, 1))
                 continue
@@ -184,28 +190,34 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             except ValueError:
                 fail(ParseError("coercion NAME : e:A -> e:B expected", lineno, 1))
                 continue
-            coercion_lines.append((lineno, name.strip(SPACE), src.strip(SPACE), dst.strip(SPACE)))
+            dst = dst.strip(" ")
+            src_col = len(line) + 1 - len(sig_part) + len(src) - len(src.lstrip(" "))
+            coercion_lines.append((lineno, name.strip(" "), src.strip(" "), src_col, dst, len(line) + 1 - len(dst)))
         elif directive == "const":
             try:
                 name, ty_part = rest.split(":", 1)
             except ValueError:
                 fail(ParseError("const NAME : TYPE expected", lineno, 1))
                 continue
-            const_lines.append((lineno, name.strip(SPACE), ty_part.strip(SPACE)))
+            ty_txt = ty_part.strip(" ")
+            const_lines.append((lineno, name.strip(" "), ty_txt, len(line) + 1 - len(ty_txt)))
         elif directive == "word":
-            parts = rest.split(None, 2)
-            if len(parts) != 3 or parts[1] != "main":
+            surface, _, rest = rest.lstrip(" ").partition(" ")
+            main, _, term_txt = rest.lstrip(" ").partition(" ")
+            if main != "main" or not (term_txt := term_txt.lstrip(" ")):
                 fail(ParseError("word SURFACE main TERM expected", lineno, 1))
                 continue
-            word_lines.append((lineno, parts[0], parts[2]))
+            word_lines.append((lineno, surface, term_txt, len(line) + 1 - len(term_txt)))
         elif directive == "word-transfer":
-            parts = rest.split(None, 3)
-            if len(parts) != 4 or parts[2] not in (RIGID, FLEXIBLE):
+            surface, _, rest = rest.lstrip(" ").partition(" ")
+            label, _, rest = rest.lstrip(" ").partition(" ")
+            rigidity, _, term_txt = rest.lstrip(" ").partition(" ")
+            if rigidity not in (RIGID, FLEXIBLE) or not (term_txt := term_txt.lstrip(" ")):
                 fail(ParseError("word-transfer SURFACE LABEL (rigid|flexible) TERM expected", lineno, 1))
                 continue
-            transfer_lines.append((lineno, parts[0], parts[1], parts[2], parts[3]))
+            transfer_lines.append((lineno, surface, label, rigidity, term_txt, len(line) + 1 - len(term_txt)))
         elif directive == "use":
-            pragma = rest.strip(SPACE)
+            pragma = rest.strip(" ")
             if pragma not in ("nat", "finset"):
                 fail(ParseError(f"unknown pragma {pragma!r}", lineno, 1))
                 continue
@@ -230,12 +242,14 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
 
     edges: list[BaseCoercion] = []
     new_consts: dict[str, Type] = {}
-    for lineno, name, src_txt, dst_txt in coercion_lines:
+    for lineno, name, src_txt, src_col, dst_txt, dst_col in coercion_lines:
         try:
+            col = src_col
             src = parse_type(src_txt, sig.sorts)
+            col = dst_col
             dst = parse_type(dst_txt, sig.sorts)
         except ParseError as e:
-            fail(ParseError(f"in coercion {name}: {e}", lineno, 1))
+            fail(ParseError(f"in coercion {name}: {_in_file(e, lineno, col)}", lineno, 1))
             continue
         if not all(isinstance(end, Base) and end.sort.kind == "entity" for end in (src, dst)):
             fail(ParseError("coercion endpoints must be entity sorts", lineno, 1))
@@ -250,7 +264,7 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
         edges.append(edge)
         new_consts[name] = edge.arrow()
 
-    for lineno, name, ty_txt in const_lines:
+    for lineno, name, ty_txt, ty_col in const_lines:
         if name in sig.constants or name in new_consts:
             fail(ParseError(f"duplicate constant {name}", lineno, 1))
             continue
@@ -258,7 +272,7 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             ty = parse_type(ty_txt, sig.sorts)
             check_wf_type(ty, sig.sorts)
         except PolysemError as e:
-            fail(ParseError(f"in const {name}: {e}", lineno, 1))
+            fail(ParseError(f"in const {name}: {_in_file(e, lineno, ty_col)}", lineno, 1))
             continue
         new_consts[name] = ty
     sig = sig.extend(constants=new_consts)
@@ -269,18 +283,18 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
         fail(IncoherentCoercions(report))
 
     entries: dict[str, LexEntry] = {}
-    for lineno, word, term_txt in word_lines:
+    for lineno, word, term_txt, col in word_lines:
         if word in entries:
             fail(DuplicateWord(f"line {lineno}: word {word!r} declared twice"))
             continue
         try:
-            term, ty = _closed_typed(term_txt, sig, word)
+            term, ty = _closed_typed(term_txt, sig, word, lineno, col)
         except TypeErrorInEntry as e:
             fail(e)
             continue
         entries[word] = LexEntry(word, term, ty)
 
-    for lineno, word, label, rigidity, term_txt in transfer_lines:
+    for lineno, word, label, rigidity, term_txt, col in transfer_lines:
         if word not in entries:
             fail(LexiconError(f"line {lineno}: word-transfer for undeclared word {word!r}"))
             continue
@@ -289,7 +303,7 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             fail(LexiconError(f"line {lineno}: duplicate transfer label {label!r} for {word!r}"))
             continue
         try:
-            term, ty = _closed_typed(term_txt, sig, word)
+            term, ty = _closed_typed(term_txt, sig, word, lineno, col)
         except TypeErrorInEntry as e:
             fail(e)
             continue

@@ -391,9 +391,10 @@ def test_every_subcommand_refuses_deep_text_with_its_exit_code(capsys, lex_path,
     deep_lex = tmp_path / "deep.lex"
     deep_lex.write_text(f"const k : {deep_type}\n")
     error = "1:5401: nesting deeper than 900"
+    in_lex = "1:5411: nesting deeper than 900"  # the type starts at column 11 of the lexicon line
     for argv, code, out, err in [
-        (["lexicon", "check", str(deep_lex)], 1, f"{deep_lex}: FAIL (1 problem(s))\n  1:1: in const k: {error}\n", ""),
-        (["compose", str(deep_lex), trees_path], 2, "", f"error: 1:1: in const k: {error}\n"),
+        (["lexicon", "check", str(deep_lex)], 1, f"{deep_lex}: FAIL (1 problem(s))\n  1:1: in const k: {in_lex}\n", ""),
+        (["compose", str(deep_lex), trees_path], 2, "", f"error: 1:1: in const k: {in_lex}\n"),
         (["typecheck", lex_path, f"(lam (x {deep_type}) x)"], 1, "FAIL 1:5397: nesting deeper than 900\n", ""),
         (["search-false", deep_type], 2, "", f"error: {error}\n"),
     ]:

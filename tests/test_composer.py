@@ -28,7 +28,7 @@ from polysem.composer import (
     parse_trees,
     _Search,
 )
-from polysem.errors import IllFormedType, TypeCheckError, UnknownWord
+from polysem.errors import FuelExhausted, IllFormedType, TypeCheckError, UnknownWord
 from polysem.inductives import register_finset, register_nat
 from polysem.kernel import (
     LEFTMOST_OUTERMOST,
@@ -53,6 +53,7 @@ from polysem.syntax import (
     entity_sort,
     etype,
     parse_term,
+    parse_type,
     print_term,
     print_type,
 )
@@ -715,6 +716,84 @@ def test_normalize_contracts_what_the_stepper_contracts(name, strategy, monkeypa
     assert len(calls) == steps > 0
 
 
+def _typed_fresh(term, sig):
+    """A fresh copy of `term` typed in the empty context, so that its closed
+    subterms remember their types, as a composed candidate's do."""
+    term = _fresh(term, sig)
+    typecheck(term, sig)
+    return term
+
+
+def _batched(terms, sig, monkeypatch) -> int:
+    """Normalise each term as the stepper does: the same print, `steps` the
+    stepper's count, and the fuel running out at that count.  Returns the
+    contractions normalize made without calling reduce_once."""
+    calls = []
+    step = kernel.reduce_once
+    monkeypatch.setattr(kernel, "reduce_once", lambda *args: calls.append(1) or step(*args))
+    batched = 0
+    for term in terms:
+        steps, stepped = 0, _fresh(term, sig)
+        while (nxt := reduce_once(stepped, sig, LEFTMOST_OUTERMOST)) is not None:
+            steps, stepped = steps + 1, nxt
+        calls.clear()
+        nf = normalize(_typed_fresh(term, sig), sig)
+        assert (print_term(nf.term), nf.steps) == (print_term(stepped), steps), print_term(term)
+        batched += steps - len(calls)
+        if steps:
+            with pytest.raises(FuelExhausted) as info:
+                normalize(_typed_fresh(term, sig), sig, fuel=steps - 1)
+            assert str(info.value) == f"no normal form within {steps - 1} steps"
+        assert normalize(_typed_fresh(term, sig), sig, fuel=steps).steps == steps
+    return batched
+
+
+def test_batched_contractions_match_the_stepper_on_the_recursor_corpus(monkeypatch):
+    sig = _recursor_signature()
+    assert _batched([parse_term(text, sig) for text in RECURSOR_CORPUS.values()], sig, monkeypatch) > 0
+
+
+def test_batched_contractions_match_the_stepper_on_the_random_corpus(monkeypatch):
+    base = register_finset(register_nat(builtin_signature()))
+    base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+    terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
+    _batched(terms, gsig, monkeypatch)
+
+
+def test_batched_contractions_match_the_stepper_on_candidates(lex, fixture_dir, monkeypatch):
+    trees = [(lex, t) for t in parse_trees((fixture_dir / "trees.txt").read_text())]
+    oracle_lex = load_lexicon(ORACLE_LEXICON)
+    trees += [(oracle_lex, parse_tree(t)) for t in ORACLE_TREES]
+    batched = 0
+    for tree_lex, tree in trees:
+        terms = [c.term for c in _Search(tree_lex).candidates(tree)]
+        batched += _batched(terms, tree_lex.signature, monkeypatch)
+    assert batched > 0
+
+
+@pytest.mark.parametrize("text, normal, batched", [
+    # x meets the open y, which the inner λy would capture: the run ends there
+    ("(lam (y e:a) (app (app (lam (x e:a) (lam (z e:a) (lam (y e:a) (app (app g x) y)))) y) c))",
+     "(lam (y e:a) (lam (y'1 e:a) (app (app g y) y'1)))", 0),
+    # the same for the open type b under the inner Λb
+    ("(tlam b (tapp (tapp (tlam a (tlam d (tlam b (lam (w a) w)))) b) t))",
+     "(tlam b (tlam b'1 (lam (w b) w)))", 0),
+    # a run that is the last of the contractions: one fuel short stops it
+    ("(app (app (lam (x e:a) (lam (z e:a) (app (app g x) z))) c) c)", "(app (app g c) c)", 2),
+    # a binder of the body shadows one of the run's
+    ("(app (app (lam (x e:a) (lam (z e:a) (lam (x e:a) (app (app g x) z)))) c) c)",
+     "(lam (x e:a) (app (app g x) c))", 2),
+    ("(tapp (tapp (tlam a (tlam d (tlam a (lam (w a) (lam (v d) w))))) t) e:a)",
+     "(tlam a (lam (w a) (lam (v e:a) w)))", 2),
+])
+def test_batched_run_edges(text, normal, batched, monkeypatch):
+    sig = builtin_signature().extend(sorts=[entity_sort("a")], constants={
+        "g": parse_type("(-> e:a (-> e:a t))"), "c": parse_type("e:a")})
+    term = parse_term(text, sig)
+    assert _batched([term], sig, monkeypatch) == batched
+    assert print_term(normalize(_typed_fresh(term, sig), sig).term) == normal
+
+
 @pytest.mark.parametrize("text", [
     "(app barks b)",
     "(app (app ∧ (app barks rex)) (app barks b))",
@@ -740,21 +819,20 @@ def test_compose_normalises_each_conjunct_once(k, monkeypatch):
     # 16 readings take at most twice the contractions of one
     tree = parse_tree(_copredication_tree(random.Random(k), k))
     contractions = []
-    step = kernel.reduce_once
+    step = composer.normalize
 
-    def counted(term, sig, strategy):
-        out = step(term, sig, strategy)
-        if out is not None:
-            contractions.append(out)
-        return out
+    def counted(*args):
+        nf = step(*args)
+        contractions.append(nf.steps)
+        return nf
 
-    monkeypatch.setattr(kernel, "reduce_once", counted)
+    monkeypatch.setattr(composer, "normalize", counted)
 
     def contractions_for(limit):
         # a fresh lexicon, so that no lexicon node remembers anything yet
         start = len(contractions)
         assert len(compose(tree, load_lexicon(ORACLE_LEXICON), limit=limit)) == limit
-        return len(contractions) - start
+        return sum(contractions[start:])
 
     one = contractions_for(1)
     assert 0 < contractions_for(16) <= 2 * one

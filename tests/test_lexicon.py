@@ -157,6 +157,36 @@ def test_problems_are_all_reported():
     assert len(problems) >= 3
 
 
+@pytest.mark.parametrize("space", ["\x0c", "\x0b", "\x1c", "\x85", "\xa0", "\u2028"])
+def test_fields_split_only_at_the_readers_whitespace(space):
+    # the reader reads sort<space>e:dog as one atom, and so does the lexicon
+    doc = f"sort{space}e:dog\nconst rex : e:dog\nword{space}w main rex"
+    assert lexicon_problems(doc) == [f"1:1: unknown directive {'sort' + space + 'e:dog'!r}",
+                                     f"3:1: unknown directive {'word' + space + 'w'!r}",
+                                     "2:1: in const rex: 2:13: undeclared sort e:dog"]
+    with pytest.raises(ParseError, match="unknown directive"):
+        load_lexicon(doc)
+    # and a surface with such a character in it is one word
+    assert list(load_lexicon(f"sort e:dog\nword w{space}x main (lam (y e:dog) y)").entries) == [f"w{space}x"]
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ("sort e:dog\nword w main (lam (x e:dog)\tx))", ["entry 'w': 2:30: trailing input ')'"]),
+    ("sort e:dog\n  word\tw  main\t (lam (x e:dog) y)", ["entry 'w': 2:32: unknown constant 'y'"]),
+    ("sort e:dog\nword w main (lam (x e:dog) x)\nword-transfer w l flexible\t(app w)",
+     ["entry 'w': 3:28: (app M N) is strictly binary"]),
+    ("sort e:dog\n\nconst  q :(-> e:dog\te:cat)  # a comment", ["3:1: in const q: 3:21: undeclared sort e:cat"]),
+    ("sort e:a\ncoercion c:e:a->  e:b", ["2:1: in coercion c: 2:19: undeclared sort e:b"]),
+    ("sort e:a\ncoercion c : (e:a) -> e:a", ["2:1: in coercion c: 2:14: unknown type form 'e:a'"]),
+])
+def test_faults_in_terms_and_types_are_at_their_place_in_the_document(doc, expected):
+    assert lexicon_problems(doc) == expected
+    with pytest.raises((ParseError, TypeErrorInEntry)) as exc:
+        load_lexicon(doc)
+    e = getattr(exc.value, "detail", exc.value)
+    assert str(e) in expected[0]
+
+
 # ---------------------------------------------------------------------------
 # inductive pragmas
 
