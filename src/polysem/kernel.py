@@ -622,22 +622,30 @@ def _match(pat: Type, sub: Type, holes, theta, bound_pairs: dict, sub_bound: fro
 
 
 def expand_definitions(term: Term, sig: Signature) -> Term:
-    """Replace every definable constant by its definition.  Definitions are
-    closed and non-recursive, so one bottom-up pass suffices."""
-    if not sig.definitions:
-        return term
+    """Replace every definable constant by a fresh copy of its definition, so
+    that no node of the result is a node of `sig.definitions`.  A part with no
+    definable constant comes back as the same object.  Definitions are closed
+    and non-recursive, so one bottom-up pass suffices."""
+    return _expand(term, sig.definitions, False) if sig.definitions else term
+
+
+def _expand(term: Term, defs: dict, copy: bool) -> Term:
     match term:
-        case Const(name, _):
-            d = sig.definitions.get(name)
-            return expand_definitions(d, sig) if d is not None else term
-        case Var():
-            return term
+        case Const(name, declared):
+            d = defs.get(name)
+            return _expand(d, defs, True) if d is not None else Const(name, declared) if copy else term
+        case Var(name):
+            return Var(name) if copy else term
         case Lam(binder, binder_type, body):
-            return Lam(binder, binder_type, expand_definitions(body, sig))
+            b = _expand(body, defs, copy)
+            return term if b is body else Lam(binder, binder_type, b)
         case App(fn, arg):
-            return App(expand_definitions(fn, sig), expand_definitions(arg, sig))
+            f, a = _expand(fn, defs, copy), _expand(arg, defs, copy)
+            return term if f is fn and a is arg else App(f, a)
         case TyLam(binder, body):
-            return TyLam(binder, expand_definitions(body, sig))
+            b = _expand(body, defs, copy)
+            return term if b is body else TyLam(binder, b)
         case TyApp(fn, ty_arg):
-            return TyApp(expand_definitions(fn, sig), ty_arg)
+            f = _expand(fn, defs, copy)
+            return term if f is fn else TyApp(f, ty_arg)
     raise TypeError(f"not a Term: {term!r}")

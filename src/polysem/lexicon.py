@@ -33,6 +33,7 @@ from .errors import (
 from .inductives import NAT_SORT, register_finset, register_nat
 from .kernel import EMPTY_CONTEXT, expand_definitions, typecheck
 from .syntax import (
+    ATOM,
     PROP,
     Arrow,
     Base,
@@ -182,6 +183,9 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             if not name.startswith("e:") or len(name) <= 2:
                 fail(ParseError("sort takes an entity sort e:NAME", lineno, 1))
                 continue
+            if not ATOM.fullmatch(name):
+                fail(ParseError(f"sort {name!r} is not one atom", lineno, 1))
+                continue
             sort_lines.append((lineno, name[2:]))
         elif directive == "coercion":
             try:
@@ -190,17 +194,23 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             except ValueError:
                 fail(ParseError("coercion NAME : e:A -> e:B expected", lineno, 1))
                 continue
+            if not ATOM.fullmatch(name := name.strip(" ")):
+                fail(ParseError(f"coercion name {name!r} is not one atom", lineno, 1))
+                continue
             dst = dst.strip(" ")
             src_col = len(line) + 1 - len(sig_part) + len(src) - len(src.lstrip(" "))
-            coercion_lines.append((lineno, name.strip(" "), src.strip(" "), src_col, dst, len(line) + 1 - len(dst)))
+            coercion_lines.append((lineno, name, src.strip(" "), src_col, dst, len(line) + 1 - len(dst)))
         elif directive == "const":
             try:
                 name, ty_part = rest.split(":", 1)
             except ValueError:
                 fail(ParseError("const NAME : TYPE expected", lineno, 1))
                 continue
+            if not ATOM.fullmatch(name := name.strip(" ")):
+                fail(ParseError(f"const name {name!r} is not one atom", lineno, 1))
+                continue
             ty_txt = ty_part.strip(" ")
-            const_lines.append((lineno, name.strip(" "), ty_txt, len(line) + 1 - len(ty_txt)))
+            const_lines.append((lineno, name, ty_txt, len(line) + 1 - len(ty_txt)))
         elif directive == "word":
             surface, _, rest = rest.lstrip(" ").partition(" ")
             main, _, term_txt = rest.lstrip(" ").partition(" ")
@@ -231,13 +241,13 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
     if "finset" in pragmas:
         sig = register_finset(sig)
 
-    declared: list[Sort] = []
+    declared: dict[Sort, None] = {}  # in declaration order
     for lineno, name in sort_lines:
         sort = entity_sort(name)
         if sort in sig.sorts or sort in declared:
             fail(ParseError(f"duplicate sort e:{name}", lineno, 1))
             continue
-        declared.append(sort)
+        declared[sort] = None
     sig = sig.extend(sorts=declared)
 
     edges: list[BaseCoercion] = []

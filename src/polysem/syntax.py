@@ -489,7 +489,8 @@ class Signature:
 MAX_NESTING = 900  # lists open at once; leaves the recursive walks room under Python's default limit
 
 SPACE = " \t\r\n"  # the reader's whitespace; line-oriented files break lines at "\n" alone
-_TOKEN = re.compile(r"\n|[()]|[^() \t\r\n]+")
+ATOM = re.compile(f"[^(){SPACE}]+")
+_TOKEN = re.compile(f"\n|[()]|{ATOM.pattern}")
 
 
 class SexprNode:
@@ -580,13 +581,17 @@ def parse_type(text: str, known_sorts=None) -> Type:
     return type_from_sexpr(parse_sexpr(text), known_sorts)
 
 
-def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], allow_free: bool) -> Term:
+def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], allow_free: bool,
+                     consts: dict[str, Const]) -> Term:
     if node.atom is not None:
         name = node.atom
         if name in bound:
             return Var(name)
+        if (const := consts.get(name)) is not None:
+            return const
         if sig.has_constant(name):
-            return Const(name, sig.constants[name])
+            const = consts[name] = Const(name, sig.constants[name])
+            return const
         if allow_free:
             return Var(name)
         raise UnknownConstant(f"unknown constant {name!r}", node.line, node.col)
@@ -600,28 +605,29 @@ def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], all
             raise ParseError("(lam (v T) M) expected", node.line, node.col)
         binder = items[1].items[0].atom
         return Lam(binder, type_from_sexpr(items[1].items[1], None),
-                   _term_from_sexpr(items[2], sig, bound | {binder}, allow_free))
+                   _term_from_sexpr(items[2], sig, bound | {binder}, allow_free, consts))
     if head == "app":
         if len(items) != 3:
             raise ParseError("(app M N) is strictly binary", node.line, node.col)
-        return App(_term_from_sexpr(items[1], sig, bound, allow_free),
-                   _term_from_sexpr(items[2], sig, bound, allow_free))
+        return App(_term_from_sexpr(items[1], sig, bound, allow_free, consts),
+                   _term_from_sexpr(items[2], sig, bound, allow_free, consts))
     if head == "tlam":
         if len(items) != 3 or items[1].atom is None:
             raise ParseError("(tlam v M) expected", node.line, node.col)
-        return TyLam(items[1].atom, _term_from_sexpr(items[2], sig, bound, allow_free))
+        return TyLam(items[1].atom, _term_from_sexpr(items[2], sig, bound, allow_free, consts))
     if head == "tapp":
         if len(items) != 3:
             raise ParseError("(tapp M T) expected", node.line, node.col)
-        return TyApp(_term_from_sexpr(items[1], sig, bound, allow_free), type_from_sexpr(items[2], None))
+        return TyApp(_term_from_sexpr(items[1], sig, bound, allow_free, consts), type_from_sexpr(items[2], None))
     raise ParseError(f"unknown term form {head!r}", node.line, node.col)
 
 
 def parse_term(text: str, sig: Signature, allow_free: bool = True) -> Term:
     """Parse a term against `sig`.  Identifiers resolve first to enclosing
     binders, then to signature constants; anything else is a free variable
-    unless `allow_free` is false, in which case it raises UnknownConstant."""
-    return _term_from_sexpr(parse_sexpr(text), sig, frozenset(), allow_free)
+    unless `allow_free` is false, in which case it raises UnknownConstant.
+    Every occurrence of one constant in the text is one Const node."""
+    return _term_from_sexpr(parse_sexpr(text), sig, frozenset(), allow_free, {})
 
 
 # ---------------------------------------------------------------------------

@@ -724,27 +724,27 @@ def _typed_fresh(term, sig):
     return term
 
 
-def _batched(terms, sig, monkeypatch) -> int:
-    """Normalise each term as the stepper does: the same print, `steps` the
-    stepper's count, and the fuel running out at that count.  Returns the
-    contractions normalize made without calling reduce_once."""
+def _batched(terms, sig, monkeypatch, strategy=LEFTMOST_OUTERMOST) -> int:
+    """Normalise each term as the stepper does under `strategy`: the same print,
+    `steps` the stepper's count, and the fuel running out at that count.
+    Returns the contractions normalize made without calling reduce_once."""
     calls = []
     step = kernel.reduce_once
     monkeypatch.setattr(kernel, "reduce_once", lambda *args: calls.append(1) or step(*args))
     batched = 0
     for term in terms:
         steps, stepped = 0, _fresh(term, sig)
-        while (nxt := reduce_once(stepped, sig, LEFTMOST_OUTERMOST)) is not None:
+        while (nxt := reduce_once(stepped, sig, strategy)) is not None:
             steps, stepped = steps + 1, nxt
         calls.clear()
-        nf = normalize(_typed_fresh(term, sig), sig)
+        nf = normalize(_typed_fresh(term, sig), sig, strategy=strategy)
         assert (print_term(nf.term), nf.steps) == (print_term(stepped), steps), print_term(term)
         batched += steps - len(calls)
         if steps:
             with pytest.raises(FuelExhausted) as info:
-                normalize(_typed_fresh(term, sig), sig, fuel=steps - 1)
+                normalize(_typed_fresh(term, sig), sig, fuel=steps - 1, strategy=strategy)
             assert str(info.value) == f"no normal form within {steps - 1} steps"
-        assert normalize(_typed_fresh(term, sig), sig, fuel=steps).steps == steps
+        assert normalize(_typed_fresh(term, sig), sig, fuel=steps, strategy=strategy).steps == steps
     return batched
 
 
@@ -758,6 +758,19 @@ def test_batched_contractions_match_the_stepper_on_the_random_corpus(monkeypatch
     base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
     terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
     _batched(terms, gsig, monkeypatch)
+
+
+def test_rightmost_innermost_matches_the_stepper_on_the_recursor_corpus(monkeypatch):
+    sig = _recursor_signature()
+    terms = [parse_term(text, sig) for text in RECURSOR_CORPUS.values()]
+    _batched(terms, sig, monkeypatch, RIGHTMOST_INNERMOST)
+
+
+def test_rightmost_innermost_matches_the_stepper_on_the_random_corpus(monkeypatch):
+    base = register_finset(register_nat(builtin_signature()))
+    base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+    terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
+    _batched(terms, gsig, monkeypatch, RIGHTMOST_INNERMOST)
 
 
 def test_batched_contractions_match_the_stepper_on_candidates(lex, fixture_dir, monkeypatch):

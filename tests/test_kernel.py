@@ -345,14 +345,21 @@ def _nodes(term):
 @pytest.mark.parametrize("strategy", [LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST])
 def test_normal_forms_hold_no_reference_cycle(sig, strategy):
     # with the cyclic collector off, reference counting alone frees every
-    # node of a term and of its normal form once they are dropped
-    texts = ["(app (app ∧ p) (app (app ∧ q) p))", "(app (app ∧ p) (app (lam (x t) x) (app (app ∧ q) p)))"]
+    # node of a term, of its expansion and of its normal form once they are
+    # dropped: constants a text repeats share one node, and a word expanded
+    # through AND shares none with the signature's definition
+    texts = ["(app (app ∧ p) (app (app ∧ q) p))", "(app (app ∧ p) (app (lam (x t) x) (app (app ∧ q) p)))",
+             "(app (lam (x t) (app (app ∧ x) (app (app ∧ p) p))) (app (app ∧ p) p))",
+             "(app (app (tapp (tapp AND e:phys) e:info) heavy) interesting)"]
     gc.disable()
     try:
         terms = [parse_term(text, sig) for text in texts]
-        refs = [weakref.ref(node) for term in terms
+        expanded = [expand_definitions(term, sig) for term in terms]
+        for term in expanded:
+            typecheck(term, sig)
+        refs = [weakref.ref(node) for term in terms + expanded
                 for node in (*_nodes(term), *_nodes(normalize(term, sig, strategy=strategy).term))]
-        del terms
+        del terms, expanded, term
         assert sum(ref() is not None for ref in refs) == 0
     finally:
         gc.enable()

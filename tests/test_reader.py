@@ -6,7 +6,8 @@ column) the reader gave before it was rewritten as a single loop.  Two
 entries changed since, when tree and lexicon files stopped breaking lines at
 form feed, and the lexicon entries of faults inside a TYPE or TERM changed
 when they came to give the document's line and column; they are marked.  No
-other entry may change.  The differential
+other entry may change.  Entries were added since for declared names that are
+not one atom.  The differential
 tests compare the reader with that earlier reader, kept in
 reference_reader.py, node by node (atom, line and column) or error by error.
 """
@@ -190,6 +191,19 @@ LEXICON_TABLE = [
      ["2:1: in coercion c: 2:21: unknown type form 'e:b'", '3:1: in const k: 3:11: (set T) takes exactly one type', "entry 'k': 4:23: (-> T T) takes exactly two types"]),
     ('word-transfer w l rigid (app\n',
      ["line 1: word-transfer for undeclared word 'w'"]),
+    # a declared name is one non-empty atom, or no text could name it
+    ('sort e:dog extra',
+     ["1:1: sort 'e:dog extra' is not one atom"]),
+    ('const p q : e:a',
+     ["1:1: const name 'p q' is not one atom"]),
+    ('coercion c d : e:a -> e:b',
+     ["1:1: coercion name 'c d' is not one atom"]),
+    ('const  : e:a',
+     ["1:1: const name '' is not one atom"]),
+    ('const (p : e:a',
+     ["1:1: const name '(p' is not one atom"]),
+    ('sort e:(a',
+     ["1:1: sort 'e:(a' is not one atom"]),
 ]
 
 PARSERS = {
