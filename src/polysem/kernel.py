@@ -622,10 +622,12 @@ def _match(pat: Type, sub: Type, holes, theta, bound_pairs: dict, sub_bound: fro
 
 
 def expand_definitions(term: Term, sig: Signature) -> Term:
-    """Replace every definable constant by a fresh copy of its definition, so
-    that no node of the result is a node of `sig.definitions`.  A part with no
-    definable constant comes back as the same object.  Definitions are closed
-    and non-recursive, so one bottom-up pass suffices."""
+    """Replace every definable constant by a fresh copy of its definition,
+    constants included.  Only its variables and types stay shared with
+    `sig.definitions`: they remember nothing that names a signature, so what
+    the kernel remembers on the result never refers back to `sig`.  A part
+    with no definable constant comes back as the same object.  Definitions
+    are closed and non-recursive, so one bottom-up pass suffices."""
     return _expand(term, sig.definitions, False) if sig.definitions else term
 
 
@@ -634,18 +636,18 @@ def _expand(term: Term, defs: dict, copy: bool) -> Term:
         case Const(name, declared):
             d = defs.get(name)
             return _expand(d, defs, True) if d is not None else Const(name, declared) if copy else term
-        case Var(name):
-            return Var(name) if copy else term
+        case Var():
+            return term
         case Lam(binder, binder_type, body):
             b = _expand(body, defs, copy)
-            return term if b is body else Lam(binder, binder_type, b)
+            return Lam(binder, binder_type, b) if copy or b is not body else term
         case App(fn, arg):
             f, a = _expand(fn, defs, copy), _expand(arg, defs, copy)
-            return term if f is fn and a is arg else App(f, a)
+            return App(f, a) if copy or f is not fn or a is not arg else term
         case TyLam(binder, body):
             b = _expand(body, defs, copy)
-            return term if b is body else TyLam(binder, b)
+            return TyLam(binder, b) if copy or b is not body else term
         case TyApp(fn, ty_arg):
             f = _expand(fn, defs, copy)
-            return term if f is fn else TyApp(f, ty_arg)
+            return TyApp(f, ty_arg) if copy or f is not fn else term
     raise TypeError(f"not a Term: {term!r}")

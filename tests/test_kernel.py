@@ -347,19 +347,22 @@ def test_normal_forms_hold_no_reference_cycle(sig, strategy):
     # with the cyclic collector off, reference counting alone frees every
     # node of a term, of its expansion and of its normal form once they are
     # dropped: constants a text repeats share one node, and a word expanded
-    # through AND shares none with the signature's definition
+    # through AND shares only the definition's variables with the signature
     texts = ["(app (app ∧ p) (app (app ∧ q) p))", "(app (app ∧ p) (app (lam (x t) x) (app (app ∧ q) p)))",
              "(app (lam (x t) (app (app ∧ x) (app (app ∧ p) p))) (app (app ∧ p) p))",
              "(app (app (tapp (tapp AND e:phys) e:info) heavy) interesting)"]
+    held = {id(node) for d in sig.definitions.values() for node in _nodes(d)}
     gc.disable()
     try:
         terms = [parse_term(text, sig) for text in texts]
         expanded = [expand_definitions(term, sig) for term in terms]
         for term in expanded:
             typecheck(term, sig)
-        refs = [weakref.ref(node) for term in terms + expanded
-                for node in (*_nodes(term), *_nodes(normalize(term, sig, strategy=strategy).term))]
-        del terms, expanded, term
+        nodes = [node for term in terms + expanded
+                 for node in (*_nodes(term), *_nodes(normalize(term, sig, strategy=strategy).term))]
+        assert all(isinstance(node, Var) for node in nodes if id(node) in held)
+        refs = [weakref.ref(node) for node in nodes if id(node) not in held]
+        del terms, expanded, term, nodes
         assert sum(ref() is not None for ref in refs) == 0
     finally:
         gc.enable()

@@ -2,7 +2,7 @@
 are given, checked against the versions that built fresh ones
 (reference_kernel.py): one Const node per constant name in a parsed text,
 expanded terms that keep every part with no definable constant and share no
-node with the signature's definitions, and rewrites that reuse the redex's
+node but variables with the signature's definitions, and rewrites that reuse the redex's
 recursor constant.  The parse, the expansion and the normal form print as the
 references' do, with the same contractions and the fuel running out at the
 same step, under both strategies."""
@@ -15,6 +15,7 @@ import reference_kernel as ref
 from polysem.errors import FuelExhausted
 from polysem.inductives import FOLD_SET, INSERT, REC_NAT, SUCC, register_finset, register_nat
 from polysem.kernel import (
+    DEFAULT_FUEL,
     LEFTMOST_OUTERMOST,
     RIGHTMOST_INNERMOST,
     expand_definitions,
@@ -23,7 +24,7 @@ from polysem.kernel import (
     typecheck,
 )
 from polysem.lexicon import builtin_signature, load_lexicon
-from polysem.syntax import Const, Term, entity_sort, parse_term, print_term, spine
+from polysem.syntax import Const, Term, Var, entity_sort, parse_term, print_term, spine
 from random_terms import generate_corpus
 from test_composer import RECURSOR_CORPUS
 from test_reader import ROOT, load_workloads
@@ -59,47 +60,52 @@ def _untouched(parsed, expanded, defs) -> bool:
     return touched
 
 
-def _pipeline(parse, expand, text, sig, strategy, fuel=None):
+LIBRARY = (parse_term, expand_definitions)
+REFERENCE = (ref.parse_term, ref.expand_definitions)
+
+
+def _pipeline(stages, text, sig, strategy, fuel=DEFAULT_FUEL):
+    parse, expand = stages
     parsed = parse(text, sig)
     expanded = expand(parsed, sig)
     typecheck(expanded, sig)
-    nf = normalize(expanded, sig, strategy=strategy) if fuel is None else normalize(
-        expanded, sig, fuel=fuel, strategy=strategy)
-    return parsed, expanded, nf
+    return parsed, expanded, normalize(expanded, sig, fuel, strategy)
 
 
-def _fuel_message(parse, expand, text, sig, strategy, fuel):
+def _fuel_message(stages, text, sig, strategy, fuel):
     with pytest.raises(FuelExhausted) as info:
-        _pipeline(parse, expand, text, sig, strategy, fuel)
+        _pipeline(stages, text, sig, strategy, fuel)
     return str(info.value)
 
 
-def _assert_as_the_references(texts, sig):
+def _assert_as_the_references(texts, sig) -> int:
     """Each text parsed, expanded, typed and normalised under each strategy, by the
-    library and by the references, each time from a fresh parse."""
+    library and by the references, each time from a fresh parse.  Returns the
+    contractions made."""
     rsig = _reference_signature(sig)
-    definition_nodes = {id(n) for d in sig.definitions.values() for n in _nodes(d)}
-    rewrites = 0
+    # variables remember nothing that names a signature, and stay shared
+    definition_nodes = {id(n) for d in sig.definitions.values() for n in _nodes(d) if not isinstance(n, Var)}
+    steps = 0
     for text in texts:
         for strategy in STRATEGIES:
-            parsed, expanded, nf = _pipeline(parse_term, expand_definitions, text, sig, strategy)
-            want = _pipeline(ref.parse_term, ref.expand_definitions, text, rsig, strategy)
+            parsed, expanded, nf = _pipeline(LIBRARY, text, sig, strategy)
+            want = _pipeline(REFERENCE, text, rsig, strategy)
             assert [print_term(t) for t in (parsed, expanded, nf.term)] == [
                 print_term(t) for t in (want[0], want[1], want[2].term)], text
             assert nf.steps == want[2].steps, text
             if nf.steps:
-                args = (text, strategy, nf.steps - 1)
-                assert (_fuel_message(parse_term, expand_definitions, args[0], sig, *args[1:])
-                        == _fuel_message(ref.parse_term, ref.expand_definitions, args[0], rsig, *args[1:])
-                        == f"no normal form within {nf.steps - 1} steps")
+                fuel = nf.steps - 1
+                assert (_fuel_message(LIBRARY, text, sig, strategy, fuel)
+                        == _fuel_message(REFERENCE, text, rsig, strategy, fuel)
+                        == f"no normal form within {fuel} steps"), text
             _untouched(parsed, expanded, sig.definitions)
             assert definition_nodes.isdisjoint(map(id, _nodes(expanded))), text
             consts = {}
             for node in _nodes(parsed):
                 if isinstance(node, Const):
                     assert consts.setdefault(node.name, node) is node, (text, node.name)
-            rewrites += nf.steps
-    return rewrites
+            steps += nf.steps
+    return steps
 
 
 def test_arith_items_match_the_references():
