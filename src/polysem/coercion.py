@@ -46,7 +46,8 @@ class BaseCoercion:
     def arrow(self) -> Type:
         return Arrow(Base(self.source), Base(self.target))
 
-    def const(self) -> Const:
+    @cached_property
+    def const(self) -> Const:  # one node per edge, so what the kernel remembers on it is found once
         return Const(self.name, self.arrow())
 
 
@@ -213,10 +214,10 @@ def compose_path(edges: list[BaseCoercion]) -> Term:
         if left.target != right.source:
             raise BrokenChain(f"{left.name}: ...->{left.target} does not chain with {right.name}: {right.source}->...")
     if len(edges) == 1:
-        return edges[0].const()
+        return edges[0].const
     body: Term = Var("x")
     for edge in edges:
-        body = App(edge.const(), body)
+        body = App(edge.const, body)
     return Lam("x", Base(edges[0].source), body)
 
 

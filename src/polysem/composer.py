@@ -26,24 +26,23 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .coercion import coerce_app, coercion_targets, coercion_to, find_coercion
-from .errors import IllFormedType, ParseError
+from .errors import IllFormedType, ParseError, TypeMismatch
 from .kernel import (
+    inherit_type,
     match_type,
     normalize,
     subst_type,
     typecheck,
+    typed_apply,
 )
 from .lexicon import FLEXIBLE, RIGID, Lexicon
 from .syntax import (
-    App,
     Arrow,
     Forall,
     Lam,
     SPACE,
     SexprNode,
     Term,
-    TyApp,
-    TyLam,
     TyVar,
     Type,
     Var,
@@ -231,7 +230,8 @@ class DiagnoseReport:
 # Every candidate term is closed: lexicon terms are typechecked in the empty
 # context when the lexicon loads, TY annotations are checked in the empty
 # type-variable context below, and composition re-abstracts every residual
-# binder.  So no term is walked for its free type variables.
+# binder.  So no term is walked for its free type variables.  The kernel's
+# typed constructors build every node, and the search reads its type off it.
 #
 # An occurrence is adapted only at its parent node, so a candidate records
 # its uses as (occurrence, uses) pairs, one per adapted occurrence, and only
@@ -241,10 +241,13 @@ class DiagnoseReport:
 @dataclass
 class _Cand:
     term: Term
-    ty: Type
     uses: tuple[tuple[Occurrence, tuple[Use, ...]], ...]
     coercions: tuple[tuple[Occurrence, Term], ...]
     head: Optional[Occurrence]  # the leaf occurrence when the subtree is one word
+
+    @property
+    def ty(self) -> Type:
+        return self.term._type_memo[1]  # see the note above
 
 
 class _Adaptation(NamedTuple):
@@ -277,15 +280,16 @@ class _Search:
         # the identity only counts as a MAIN use when it fills a view slot.
         # A domain free of the binders is ground, and on a coherent graph at
         # most one coercion out of the argument's type reaches it.
-        out = [_Adaptation(None, None, arg.ty)]
+        ty = arg.ty
+        out = [_Adaptation(None, None, ty)]
         if free_tyvars(dom).isdisjoint(binders):
-            found = coercion_to(self.graph, arg.ty, dom)
+            found = coercion_to(self.graph, ty, dom)
             graph = [] if found is None else [found]
         else:
-            graph = coercion_targets(self.graph, arg.ty)
+            graph = coercion_targets(self.graph, ty)
         for co, target in graph:
-            out.append(_Adaptation(_graph_use(arg.ty, target), co, target))
-        out.extend(_Adaptation(*tr) for tr in self.transfers(arg, arg.ty))
+            out.append(_Adaptation(_graph_use(ty, target), co, target))
+        out.extend(_Adaptation(*tr) for tr in self.transfers(arg, ty))
         return out
 
     # -- slot filling -------------------------------------------------------
@@ -302,17 +306,18 @@ class _Search:
         fills.extend((use, term) for use, term, cod in self.transfers(arg, a) if cod == b)
         return fills
 
-    def fill_slots(self, term: Term, ty: Type, arg: _Cand, consumed_ty: Type,
+    def fill_slots(self, term: Term, arg: _Cand, consumed_ty: Type,
                    occ: Occurrence, node_path: tuple[int, ...]
-                   ) -> list[tuple[Term, Type, tuple[Use, ...], tuple]]:
+                   ) -> list[tuple[Term, tuple[Use, ...], tuple]]:
         """Saturate leading adaptor slots.  A slot is a leading result arrow
         whose domain expects a view of the just-consumed argument (it maps
         from the type the argument was consumed at); every slot must be
         filled, each possible fill being a branch.  The uses come later
         slots first, the coercions in slot order."""
+        ty = term._type_memo[1]
         if not (isinstance(ty, Arrow) and isinstance(ty.domain, Arrow)
                 and ty.domain.domain == consumed_ty):
-            return [(term, ty, (), ())]
+            return [(term, (), ())]
         slot = ty.domain
         fills = self.slot_fills(slot, arg)
         if not fills:
@@ -320,10 +325,10 @@ class _Search:
             return []
         out = []
         for use, fill_term in fills:
-            for rterm, rty, ruses, rcos in self.fill_slots(App(term, fill_term), ty.codomain,
-                                                           arg, consumed_ty, occ, node_path):
+            for rterm, ruses, rcos in self.fill_slots(typed_apply(term, (), fill_term, self.sig),
+                                                      arg, consumed_ty, occ, node_path):
                 cos = (((occ, fill_term),) if use.kind != "main" else ()) + rcos
-                out.append((rterm, rty, ruses + (use,), cos))
+                out.append((rterm, ruses + (use,), cos))
         return out
 
     # -- one application edge ----------------------------------------------
@@ -331,15 +336,20 @@ class _Search:
     def apply_node(self, fn: _Cand, arg: _Cand, node_path: tuple[int, ...]) -> list[_Cand]:
         out = self._apply_variants(fn, arg, node_path, allow_arg_adapt=True)
         # function-side: the function word's own transfers
-        for use, term, cod in self.transfers(fn, fn.ty):
-            shifted = _Cand(coerce_app(term, fn.term), cod, fn.uses + ((fn.head, (use,)),),
+        for use, term, _ in self.transfers(fn, fn.ty):
+            shifted = _Cand(self.coerce(term, fn.term), fn.uses + ((fn.head, (use,)),),
                             fn.coercions + ((fn.head, term),), fn.head)
             out.extend(self._apply_variants(shifted, arg, node_path, allow_arg_adapt=False))
         return out
 
+    def coerce(self, co: Term, term: Term) -> Term:
+        """coerce_app(co, term), typed as the application it contracts."""
+        app = typed_apply(co, (), term, self.sig)
+        return inherit_type(coerce_app(co, term), app, self.sig) if isinstance(co, Lam) else app
+
     def _apply_variants(self, fn: _Cand, arg: _Cand, node_path: tuple[int, ...],
                         allow_arg_adapt: bool) -> list[_Cand]:
-        binders, dom, cod = _peel(fn.ty)
+        binders, dom = _peel(fn.ty)
         if dom is None:
             self.failures.append(Failure(node_path, "NotFunction", fn.ty, None))
             return []
@@ -353,21 +363,20 @@ class _Search:
             if theta is None:
                 continue
             matched_any = True
-            arg_term = arg.term if wrapper is None else coerce_app(wrapper, arg.term)
-            term, ty = _instantiate(fn.term, binders, theta, cod, arg_term)
+            arg_term = arg.term if wrapper is None else self.coerce(wrapper, arg.term)
+            term = _instantiate(fn.term, binders, theta, arg_term, self.sig)
             uses = fn.uses + arg.uses
             coercions = fn.coercions + arg.coercions
             if wrapper is not None:
                 coercions = coercions + ((occ, wrapper),)
-            for f_term, f_ty, f_uses, f_cos in self.fill_slots(term, ty, arg, adapted_ty,
-                                                               occ, node_path):
+            for f_term, f_uses, f_cos in self.fill_slots(term, arg, adapted_ty, occ, node_path):
                 occ_uses = f_uses if use is None else (use,) + f_uses
                 if not _licit(occ_uses):
                     self.failures.append(Failure(node_path, "RigidityViolation",
                                                  occurrence=occ))
                     continue
                 all_uses = uses + ((occ, occ_uses),) if occ_uses else uses
-                out.append(_Cand(f_term, f_ty, all_uses, coercions + f_cos, head=None))
+                out.append(_Cand(f_term, all_uses, coercions + f_cos, head=None))
         if not matched_any:
             self.failures.append(Failure(node_path, "NoPath", arg.ty, dom))
         return out
@@ -378,7 +387,7 @@ class _Search:
         match tree:
             case Leaf(word):
                 entry = self.lex.entry(word)
-                return [_Cand(entry.main_term, entry.ty, (), (), Occurrence(path, word))]
+                return [_Cand(entry.main_term, (), (), Occurrence(path, word))]
             case Node(fn, arg):
                 fns = self.candidates(fn, path + (0,))
                 args = self.candidates(arg, path + (1,))
@@ -395,24 +404,18 @@ class _Search:
                         raise IllFormedType(f"TY annotation {print_type(t)}: {e}") from None
                 out = []
                 for cand in self.candidates(sub, path + (0,)):
-                    term, ty = cand.term, cand.ty
-                    ok = True
-                    for t in ty_args:
-                        if not isinstance(ty, Forall):
-                            self.failures.append(Failure(path, "NotPolymorphic", ty, None))
-                            ok = False
-                            break
-                        term = TyApp(term, t)
-                        ty = subst_type(ty.body, ty.binder, t)
-                    if ok:
-                        out.append(_Cand(term, ty, cand.uses, cand.coercions, cand.head))
+                    try:
+                        out.append(_Cand(typed_apply(cand.term, ty_args, None, self.sig),
+                                         cand.uses, cand.coercions, cand.head))
+                    except TypeMismatch as e:  # the first type argument met by no ∀
+                        self.failures.append(Failure(path, "NotPolymorphic", e.found, None))
                 return out
         raise TypeError(f"not a ParseTree: {tree!r}")
 
 
-def _peel(ty: Type) -> tuple[list[str], Optional[Type], Optional[Type]]:
+def _peel(ty: Type) -> tuple[list[str], Optional[Type]]:
     """Strip leading quantifiers (freshened to unique names) down to the
-    first arrow; (binders, domain, codomain), domain None when not an arrow.
+    first arrow; (binders, domain), domain None when not an arrow.
     `ty` is closed, so only the binders themselves need avoiding."""
     binders: list[str] = []
     while isinstance(ty, Forall):
@@ -423,38 +426,21 @@ def _peel(ty: Type) -> tuple[list[str], Optional[Type], Optional[Type]]:
             binder = fresh
         binders.append(binder)
         ty = body
-    if isinstance(ty, Arrow):
-        return binders, ty.domain, ty.codomain
-    return binders, None, None
+    return binders, ty.domain if isinstance(ty, Arrow) else None
 
 
 def _instantiate(fn_term: Term, binders: list[str], theta: dict[str, Type],
-                 cod: Type, arg_term: Term) -> tuple[Term, Type]:
+                 arg_term: Term, sig) -> Term:
     """Apply fn to arg under the matched instantiation; binders the match did
     not determine are re-abstracted outside the application.  Both terms are
     closed, so fresh names need only avoid the binders."""
-    avoid = set(binders)
-    term = fn_term
-    residuals: list[str] = []
-    full: dict[str, Type] = {}
+    avoid, residuals, ty_args = set(binders), [], []
     for b in binders:
-        if b in theta:
-            term = TyApp(term, theta[b])
-            full[b] = theta[b]
-        else:
-            fresh = fresh_name(b, avoid)
-            avoid.add(fresh)
-            residuals.append(fresh)
-            term = TyApp(term, TyVar(fresh))
-            full[b] = TyVar(fresh)
-    term = App(term, arg_term)
-    result_ty = cod
-    for b, t in full.items():
-        result_ty = subst_type(result_ty, b, t)
-    for r in reversed(residuals):
-        term = TyLam(r, term)
-        result_ty = Forall(r, result_ty)
-    return term, result_ty
+        if b not in theta:
+            residuals.append(fresh_name(b, avoid))
+            avoid.add(residuals[-1])
+        ty_args.append(theta[b] if b in theta else TyVar(residuals[-1]))
+    return typed_apply(fn_term, ty_args, arg_term, sig, tuple(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +468,7 @@ def compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
     analyses: list[Analysis] = []
     seen = set()
     for cand in search.candidates(tree):
-        # typechecking in the empty context also checks that the term is closed
-        ty = typecheck(cand.term, lex.signature)
-        assert ty == cand.ty, "composed term type drifted from the search's bookkeeping"
+        ty = typecheck(cand.term, lex.signature)  # a read: the term was typed as it was built
         nf = normalize(cand.term, lex.signature).term
         key = canon_term(nf)
         if key in seen:
@@ -509,10 +493,10 @@ def apply_node(fn_term: Term, arg_term: Term, lex: Lexicon,
     adapted applications; each result is (term, adaptation record)."""
     search = _Search(lex)
     sig = lex.signature
-    fn = _Cand(fn_term, typecheck(fn_term, sig), (), (),
-               Occurrence((0,), fn_word) if fn_word else None)
-    arg = _Cand(arg_term, typecheck(arg_term, sig), (), (),
-                Occurrence((1,), arg_word) if arg_word else None)
+    for term in (fn_term, arg_term):
+        typecheck(term, sig)  # remembered on the node, where the search reads it
+    fn = _Cand(fn_term, (), (), Occurrence((0,), fn_word) if fn_word else None)
+    arg = _Cand(arg_term, (), (), Occurrence((1,), arg_word) if arg_word else None)
     return [(cand.term, _labels(cand.uses)) for cand in search.apply_node(fn, arg, ())]
 
 

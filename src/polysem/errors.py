@@ -26,10 +26,14 @@ class UnknownConstant(ParseError):
 
 
 class TypeCheckError(PolysemError):
-    """Base class for typing failures; `path` locates the offending subterm."""
+    """Base class for typing failures; `path` locates the offending subterm,
+    as a tuple of steps or as a chain of (parent, step) pairs."""
 
     def __init__(self, message: str, path: tuple = ()):
-        self.path = path
+        steps = ()
+        while path and isinstance(path[0], tuple):
+            path, steps = path[0], (path[1],) + steps
+        self.path = path = path + steps
         if path:
             message = f"{message} (at {'.'.join(path)})"
         super().__init__(message)

@@ -16,6 +16,7 @@ from .errors import (
     FuelExhausted,
     IllFormedType,
     NotNormal,
+    TypeCheckError,
     TypeMismatch,
     UnboundVariable,
 )
@@ -165,7 +166,8 @@ def substitute_ty(term: Term, var: str, replacement: Type) -> Term:
 def typecheck(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT, path: tuple = ()) -> Type:
     """The unique type of `term` under `ctx`, or a TypeCheckError.  A closed
     term's type is remembered on its node, per signature, so that terms
-    sharing closed subterms type each of them once."""
+    sharing closed subterms type each of them once.  `path` locates `term`
+    as a chain of (parent, step) pairs, spelt out only by an error."""
     closed = ctx is EMPTY_CONTEXT
     memo = getattr(term, "_type_memo", None) if closed else None
     if memo is not None and memo[0] is sig:
@@ -187,27 +189,27 @@ def typecheck(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT, pa
                 check_wf_type(binder_type, sig.sorts, ctx.ty_vars)
             except IllFormedType as e:
                 raise IllFormedType(str(e), path) from None
-            body_ty = typecheck(body, sig, ctx.bind(binder, binder_type), path + ("body",))
+            body_ty = typecheck(body, sig, ctx.bind(binder, binder_type), (path, "body"))
             ty = Arrow(binder_type, body_ty)
         case App(fn, arg):
-            fn_ty = typecheck(fn, sig, ctx, path + ("fn",))
-            arg_ty = typecheck(arg, sig, ctx, path + ("arg",))
+            fn_ty = typecheck(fn, sig, ctx, (path, "fn"))
+            arg_ty = typecheck(arg, sig, ctx, (path, "arg"))
             if not isinstance(fn_ty, Arrow):
-                raise TypeMismatch(f"a function accepting {arg_ty}", fn_ty, path + ("fn",))
+                raise TypeMismatch(f"a function accepting {arg_ty}", fn_ty, (path, "fn"))
             if fn_ty.domain != arg_ty:
-                raise TypeMismatch(fn_ty.domain, arg_ty, path + ("arg",))
+                raise TypeMismatch(fn_ty.domain, arg_ty, (path, "arg"))
             ty = fn_ty.codomain
         case TyLam(binder, body):
             if binder in ctx.ty_vars:
                 fresh = fresh_name(binder, ctx.ty_vars | free_tyvars_in_term(body))
                 body = substitute_ty(body, binder, TyVar(fresh))
                 binder = fresh
-            body_ty = typecheck(body, sig, ctx.bind_ty(binder), path + ("body",))
+            body_ty = typecheck(body, sig, ctx.bind_ty(binder), (path, "body"))
             ty = Forall(binder, body_ty)
         case TyApp(fn, ty_arg):
-            fn_ty = typecheck(fn, sig, ctx, path + ("fn",))
+            fn_ty = typecheck(fn, sig, ctx, (path, "fn"))
             if not isinstance(fn_ty, Forall):
-                raise TypeMismatch("a universally quantified type", fn_ty, path + ("fn",))
+                raise TypeMismatch("a universally quantified type", fn_ty, (path, "fn"))
             try:
                 check_wf_type(ty_arg, sig.sorts, ctx.ty_vars)
             except IllFormedType as e:
@@ -218,6 +220,55 @@ def typecheck(term: Term, sig: Signature, ctx: TypingContext = EMPTY_CONTEXT, pa
     if closed:
         object.__setattr__(term, "_type_memo", (sig, ty))
     return ty
+
+
+def typed_apply(fn: Term, ty_args, arg: Optional[Term], sig: Signature, residuals: tuple = ()) -> Term:
+    """`Λresiduals. fn ty_args… arg` (no application if `arg` is None) of `fn` and `arg`
+    closed and typed under `sig`, type arguments closed but for the residuals, checked
+    once as it is built from checked parts (as in LCF): its type, from theirs by typecheck's
+    checks, is remembered on it.  A failed check leaves typecheck of the whole term to raise."""
+    try:
+        ty, arg_ty = typecheck(fn, sig), arg and typecheck(arg, sig)
+        for t in ty_args:
+            check_wf_type(t, sig.sorts, frozenset(residuals))
+    except TypeCheckError:
+        ty = arg_ty = None
+    for t in ty_args:
+        fn, ty = TyApp(fn, t), _instance(ty, t)
+    if arg is not None:
+        fn, ty = App(fn, arg), ty.codomain if isinstance(ty, Arrow) and ty.domain == arg_ty else None
+    for r in reversed(residuals):  # the ∀ too is made once, on its body's node
+        fn, ty = TyLam(r, fn), ty and ty.__dict__.setdefault("_foralls", {}).setdefault(r, Forall(r, ty))
+    object.__setattr__(fn, "_type_memo", (sig, typecheck(fn, sig) if ty is None else ty))
+    return fn
+
+
+def _instance(fn_ty: Optional[Type], ty_arg: Type) -> Optional[Type]:
+    """The type `fn_ty` gives an application to the well-formed `ty_arg`, None
+    if not a ∀.  A ∀ derives it once per argument object (not per α-equal
+    one: bound names differ), or per name for a residual variable."""
+    if not isinstance(fn_ty, Forall):
+        return None
+    table = fn_ty.__dict__.setdefault("_instances", {})
+    key = ty_arg.name if isinstance(ty_arg, TyVar) else id(ty_arg)
+    if (hit := table.get(key)) is None:  # the entry keeps its argument, so no other object takes its id
+        hit = table[key] = (ty_arg, subst_type(fn_ty.body, fn_ty.binder, ty_arg))
+    return hit[1]
+
+
+def inherit_type(reduct: Term, term: Term, sig: Signature) -> Term:
+    """`reduct`, a reduct of `term`, given the type term remembers under `sig`
+    (subject reduction).  Copied only with no ∀, as it is then the reduct's
+    own name for name; else the reduct is typechecked afresh."""
+    memo = getattr(term, "_type_memo", None)
+    if memo is not None and memo[0] is sig:
+        object.__setattr__(reduct, "_type_memo", memo if _quantifier_free(memo[1]) else (sig, typecheck(reduct, sig)))
+    return reduct
+
+
+def _quantifier_free(ty: Type) -> bool:
+    parts = (ty.domain, ty.codomain) if isinstance(ty, Arrow) else (ty.elem,) if isinstance(ty, SetOf) else ()
+    return not isinstance(ty, Forall) and all(map(_quantifier_free, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +376,7 @@ def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
         raise ValueError(f"unknown strategy {strategy!r}")
     left = [fuel, fuel]
     out = (_lo if strategy == LEFTMOST_OUTERMOST else _ri)(term, sig, left)
-    return NormalForm(out, fuel - left[0])
+    return NormalForm(inherit_type(out, term, sig), fuel - left[0])
 
 
 def _fire(redex: Term, rest: list, sig: Signature, fuel: list) -> Term:
