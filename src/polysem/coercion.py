@@ -20,7 +20,6 @@ from .syntax import (
     Base,
     Const,
     Lam,
-    Signature,
     Sort,
     Term,
     Type,
@@ -229,7 +228,7 @@ def coerce_app(co: Term, arg: Term) -> Term:
     return App(co, arg)
 
 
-def find_coercion(g: CoercionGraph, sig: Signature, source: Type, target: Type) -> Optional[Term]:
+def find_coercion(g: CoercionGraph, source: Type, target: Type) -> Optional[Term]:
     """The unique coercion term of type source -> target, or None.
 
     Built from reflexivity (identity), composition of base edges, and arrow

@@ -300,7 +300,7 @@ class _Search:
         if a == b:
             fills.append((Use(MAIN, None, "main"), Lam("x", a, Var("x"))))
         else:
-            co = find_coercion(self.graph, self.sig, a, b)
+            co = find_coercion(self.graph, a, b)
             if co is not None:
                 fills.append((_graph_use(a, b), co))
         fills.extend((use, term) for use, term, cod in self.transfers(arg, a) if cod == b)

@@ -53,7 +53,7 @@ class InductiveRule:
     constructor: str
     n_ty_args: int
     n_args: int  # term arguments, scrutinee included
-    rewrite: Callable[[Const, list, list], Term]  # (recursor head, its elims, scrutinee elims)
+    rewrite: Callable[[Term, list, list], Term]  # (the redex's function part, its elims, scrutinee elims)
 
     def try_rewrite(self, term: Term) -> Optional[Term]:
         head, elims = spine(term)
@@ -69,23 +69,22 @@ class InductiveRule:
         scrut_head, scrut_elims = spine(args[-1])
         if not (isinstance(scrut_head, Const) and scrut_head.name == self.constructor):
             return None
-        return self.rewrite(head, elims, scrut_elims)
+        return self.rewrite(term.fn, elims, scrut_elims)
 
 
 # ---------------------------------------------------------------------------
 # Naturals
 
 
-def _rec_nat_zero(_head, elims, _scrut_elims) -> Term:
+def _rec_nat_zero(_prefix, elims, _scrut_elims) -> Term:
     # RecN T base step Zero  ~>  base
     return elims[1]
 
 
-def _rec_nat_succ(head, elims, scrut_elims) -> Term:
-    # RecN T base step (Succ n)  ~>  step n (RecN T base step n)
-    ty, base, step = elims[0], elims[1], elims[2]
+def _rec_nat_succ(prefix, elims, scrut_elims) -> Term:
+    # RecN T base step (Succ n)  ~>  step n (RecN T base step n), reusing the redex's prefix
     n = scrut_elims[0]
-    return apps(step, n, apps(head, ty, base, step, n))
+    return apps(elims[2], n, App(prefix, n))
 
 
 def _rec_nat_type() -> Type:
@@ -155,16 +154,15 @@ def _insert_type() -> Type:
     return Forall("a", Arrow(a, Arrow(SetOf(a), SetOf(a))))
 
 
-def _fold_empty(_head, elims, _scrut_elims) -> Term:
+def _fold_empty(_prefix, elims, _scrut_elims) -> Term:
     # FoldS A B base step EmptyS[A]  ~>  base
     return elims[2]
 
 
-def _fold_insert(head, elims, scrut_elims) -> Term:
-    # FoldS A B base step (InsertS[A] x xs)  ~>  step x (FoldS A B base step xs)
-    elem_ty, out_ty, base, step = elims[0], elims[1], elims[2], elims[3]
+def _fold_insert(prefix, elims, scrut_elims) -> Term:
+    # FoldS A B base step (InsertS[A] x xs)  ~>  step x (FoldS A B base step xs), reusing the prefix
     x, xs = scrut_elims[1], scrut_elims[2]
-    return apps(step, x, apps(head, elem_ty, out_ty, base, step, xs))
+    return apps(elims[3], x, App(prefix, xs))
 
 
 SET_RULES = (

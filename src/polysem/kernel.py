@@ -9,7 +9,6 @@ heads.  Eta-long forms are computed only after beta-normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import Optional
 
 from .errors import (
@@ -100,63 +99,66 @@ def subst_type(ty: Type, var: str, replacement: Type) -> Type:
 
 
 def substitute(term: Term, var: str, replacement: Term) -> Term:
-    """Capture-avoiding term substitution [var := replacement].  A subterm in
-    which `var` is not free comes back as the same object, so a binder is
-    renamed only when `var` occurs under it and the replacement would be
-    captured."""
-    match term:
-        case Var(name):
-            return replacement if name == var else term
-        case Const():
-            return term
-        case Lam(binder, binder_type, body):
-            if binder == var or (out := substitute(body, var, replacement)) is body:
-                return term
-            if binder in (fv := free_vars(replacement)):
-                # the replacement would be captured: substitute again under a fresh name
-                fresh = fresh_name(binder, fv | free_vars(body) | {var})
-                out = substitute(substitute(body, binder, Var(fresh)), var, replacement)
-                binder = fresh
-            return Lam(binder, binder_type, out)
-        case App(fn, arg):
-            f, a = substitute(fn, var, replacement), substitute(arg, var, replacement)
-            return term if f is fn and a is arg else App(f, a)
-        case TyLam(binder, body):
-            if (out := substitute(body, var, replacement)) is body:
-                return term
-            if binder in (ftv := free_tyvars_in_term(replacement)):
-                fresh = fresh_name(binder, ftv | free_tyvars_in_term(body))
-                out = substitute(substitute_ty(body, binder, TyVar(fresh)), var, replacement)
-                binder = fresh
-            return TyLam(binder, out)
-        case TyApp(fn, ty_arg):
-            f = substitute(fn, var, replacement)
-            return term if f is fn else TyApp(f, ty_arg)
-    raise TypeError(f"not a Term: {term!r}")
+    """Capture-avoiding term substitution [var := replacement]; a part without `var` free is shared."""
+    return _subst(term, {var: replacement}, {})
 
 
 def substitute_ty(term: Term, var: str, replacement: Type) -> Term:
-    """Capture-avoiding type substitution [var := replacement] inside a term.
-    A part in which `var` is not free comes back as the same object."""
-    if var not in free_tyvars_in_term(term):
+    """Capture-avoiding type substitution [var := replacement] in a term; a part without `var` free is shared."""
+    return _subst(term, {}, {var: replacement})
+
+
+def _subst(term: Term, env: dict, tyenv: dict) -> Term:
+    """`term` with the term variables of `env` and the type variables of `tyenv` replaced at once (in a type,
+    tyenv's one after another: alike for one or for closed ones).  Untouched parts come back as they are; a
+    binder is renamed only when it would capture a free variable of a replacement for a variable free under it."""
+    if not env and (not tyenv or free_tyvars_in_term(term).isdisjoint(tyenv)):
         return term
-    match term:
-        case Const():
-            # constant types are closed over the signature's sorts
+    match term:  # applications first, as most nodes are; no closure here, as a captured local costs each call
+        case App(fn, arg):
+            f, a = _subst(fn, env, tyenv), _subst(arg, env, tyenv)
+            return term if f is fn and a is arg else App(f, a)
+        case Var(name):
+            return env[name] if name in env else term
+        case Const():  # a constant's type is closed
             return term
         case Lam(binder, binder_type, body):
-            return Lam(binder, subst_type(binder_type, var, replacement), substitute_ty(body, var, replacement))
-        case App(fn, arg):
-            return App(substitute_ty(fn, var, replacement), substitute_ty(arg, var, replacement))
+            env = _without(env, binder) if binder in env else env
+            ty, out = _subst_types(binder_type, tyenv) if tyenv else binder_type, _subst(body, env, tyenv)
+            if out is body and ty is binder_type:
+                return term
+            if binder in (reach := _reach(body, env, free_vars, free_vars)):
+                fresh = fresh_name(binder, reach.union(free_vars(body), env))
+                out, binder = _subst(_subst(body, {binder: Var(fresh)}, {}), env, tyenv), fresh
+            return Lam(binder, ty, out)
         case TyLam(binder, body):
-            if binder in free_tyvars(replacement):
-                fresh = fresh_name(binder, free_tyvars(replacement) | free_tyvars_in_term(body) | {var})
-                body = substitute_ty(body, binder, TyVar(fresh))
-                binder = fresh
-            return TyLam(binder, substitute_ty(body, var, replacement))
+            tyenv = _without(tyenv, binder) if binder in tyenv else tyenv
+            if (out := _subst(body, env, tyenv)) is body:
+                return term
+            reach = _reach(body, env, free_tyvars_in_term, free_vars)
+            if binder in (reach := reach | _reach(body, tyenv, free_tyvars, free_tyvars_in_term)):
+                fresh = fresh_name(binder, reach.union(free_tyvars_in_term(body), tyenv))
+                out, binder = _subst(_subst(body, {}, {binder: TyVar(fresh)}), env, tyenv), fresh
+            return TyLam(binder, out)
         case TyApp(fn, ty_arg):
-            return TyApp(substitute_ty(fn, var, replacement), subst_type(ty_arg, var, replacement))
+            f, ty = _subst(fn, env, tyenv), _subst_types(ty_arg, tyenv) if tyenv else ty_arg
+            return term if f is fn and ty is ty_arg else TyApp(f, ty)
     raise TypeError(f"not a Term: {term!r}")
+
+
+def _reach(body: Term, env: dict, free, free_in_body) -> frozenset:
+    """The free variables (by `free`) of the replacements in `env` for variables free in `body`."""
+    return frozenset().union(*[fv for v, r in env.items() if (fv := free(r)) and v in free_in_body(body)])
+
+
+def _without(env: dict, var: str) -> dict:
+    return {v: r for v, r in env.items() if v != var}
+
+
+def _subst_types(ty: Type, tyenv: dict) -> Type:
+    for var, replacement in tyenv.items():
+        ty = subst_type(ty, var, replacement)
+    return ty
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +281,9 @@ def _contract(term: Term, sig: Signature) -> Optional[Term]:
     """Contract `term` if it is itself a redex; None otherwise."""
     match term:
         case App(Lam(binder, _, body), arg):
-            return substitute(body, binder, arg)
+            return _subst(body, {binder: arg}, {})
         case TyApp(TyLam(binder, body), ty_arg):
-            return substitute_ty(body, binder, ty_arg)
+            return _subst(body, {}, {binder: ty_arg})
     return rule.try_rewrite(term) if sig.rules and (rule := _root_rule(term, sig)) else None
 
 
@@ -411,34 +413,10 @@ def _fire_run(head: Term, nodes: list, sig: Signature, fuel: list) -> Term:
         else:
             tyenv[binder.binder] = node.ty_arg
         binder = binder.body
-    term = _subst_closed(body, env, tyenv)
+    term = _subst(body, env, tyenv)
     for node in nodes[n:]:
         term = App(term, node.arg) if isinstance(node, App) else TyApp(term, node.ty_arg)
     return term
-
-
-def _subst_closed(term: Term, env: dict, tyenv: dict) -> Term:
-    """`term` with the variables of `env` and `tyenv` replaced at once by closed terms and types, which no
-    binder captures: what substitute and substitute_ty build one by one.  Untouched parts come back as they are."""
-    if not env and not tyenv or isinstance(term, Const):
-        return term
-    match term:
-        case Var(name):
-            return env.get(name, term)
-        case Lam(binder, binder_type, body):
-            ty = reduce(lambda t, vr: subst_type(t, *vr), tyenv.items(), binder_type)
-            b = _subst_closed(body, {v: r for v, r in env.items() if v != binder}, tyenv)
-            return term if b is body and ty is binder_type else Lam(binder, ty, b)
-        case App(fn, arg):
-            f, a = _subst_closed(fn, env, tyenv), _subst_closed(arg, env, tyenv)
-            return term if f is fn and a is arg else App(f, a)
-        case TyLam(binder, body):
-            b = _subst_closed(body, env, {v: r for v, r in tyenv.items() if v != binder})
-            return term if b is body else TyLam(binder, b)
-        case TyApp(fn, ty_arg):
-            f, ty = _subst_closed(fn, env, tyenv), reduce(lambda t, vr: subst_type(t, *vr), tyenv.items(), ty_arg)
-            return term if f is fn and ty is ty_arg else TyApp(f, ty)
-    raise TypeError(f"not a Term: {term!r}")
 
 
 def _remembered(term: Term, sig: Signature, strategy: str) -> Optional[Term]:

@@ -145,15 +145,13 @@ def test_compose_empty_is_broken():
 
 def test_find_base_edge_is_constant():
     g = _graph(("f0", "book", "phys"))
-    sig = _sig_for(g)
-    out = find_coercion(g, sig, etype("book"), etype("phys"))
+    out = find_coercion(g, etype("book"), etype("phys"))
     assert out == Const("f0", Arrow(etype("book"), etype("phys")))
 
 
 def test_find_reflexivity():
     g = CoercionGraph()
-    sig = builtin_signature().extend(sorts=[entity_sort("a")])
-    out = find_coercion(g, sig, etype("a"), etype("a"))
+    out = find_coercion(g, etype("a"), etype("a"))
     assert alpha_eq(out, Lam("x", etype("a"), Var("x")))
 
 
@@ -163,7 +161,7 @@ def test_find_arrow_lift():
     # lam P^{phys->t}. lam x^{book}. P (f0 x)   (hand application of the rule)
     g = _graph(("f0", "book", "phys"))
     sig = _sig_for(g)
-    out = find_coercion(g, sig, parse_type("(-> e:phys t)"), parse_type("(-> e:book t)"))
+    out = find_coercion(g, parse_type("(-> e:phys t)"), parse_type("(-> e:book t)"))
     expected = parse_term("(lam (P (-> e:phys t)) (lam (x e:book) (app P (app f0 x))))", sig)
     assert alpha_eq(out, expected)
     assert typecheck(out, sig) == parse_type("(-> (-> e:phys t) (-> e:book t))")
@@ -171,9 +169,8 @@ def test_find_arrow_lift():
 
 def test_find_requires_coherence():
     g = _graph(("one", "a", "b"), ("two", "a", "b"))
-    sig = _sig_for(g)
     with pytest.raises(IncoherentGraph):
-        find_coercion(g, sig, etype("a"), etype("b"))
+        find_coercion(g, etype("a"), etype("b"))
 
 
 @pytest.mark.parametrize("edges", [
@@ -190,7 +187,7 @@ def test_coercion_to_requires_coherence(edges):
 
 
 def test_find_no_path(lex):
-    out = find_coercion(lex.coercions, lex.signature, etype("chair"), etype("dog"))
+    out = find_coercion(lex.coercions, etype("chair"), etype("dog"))
     assert out is None
 
 
@@ -260,7 +257,7 @@ def test_find_coercion_iff_reachable():
             for b in sorted(m.nodes):
                 if a == b:
                     continue
-                out = find_coercion(g, sig, etype(a), etype(b))
+                out = find_coercion(g, etype(a), etype(b))
                 reachable = nx.has_path(m, a, b)
                 assert (out is not None) == reachable
                 if out is not None:
@@ -275,12 +272,11 @@ def test_find_coercion_unique_under_search_order():
         if not check_coherence(g).ok or not g.edges:
             continue
         tried += 1
-        sig = _sig_for(g)
         reversed_g = CoercionGraph(tuple(reversed(g.edges)))
         for a in sorted(s.name for s in g.nodes):
             for b in sorted(s.name for s in g.nodes):
-                one = find_coercion(g, sig, etype(a), etype(b))
-                two = find_coercion(reversed_g, sig, etype(a), etype(b))
+                one = find_coercion(g, etype(a), etype(b))
+                two = find_coercion(reversed_g, etype(a), etype(b))
                 assert (one is None) == (two is None)
                 if one is not None:
                     assert alpha_eq(one, two)
@@ -294,7 +290,7 @@ def test_arrow_lift_soundness():
     for _ in range(100):
         a, a2, b, b2 = (etype(rng.choice(sorts)) for _ in range(4))
         src, dst = Arrow(a, b), Arrow(a2, b2)
-        out = find_coercion(g, sig, src, dst)
+        out = find_coercion(g, src, dst)
         if out is not None:
             assert typecheck(out, sig) == Arrow(src, dst)
 

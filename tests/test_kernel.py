@@ -1,6 +1,7 @@
 """Typing, substitution, reduction and eta-long forms."""
 
 import gc
+import sys
 import weakref
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from polysem.kernel import (
     substitute_ty,
     typecheck,
 )
-from polysem.lexicon import AND_SOURCE, builtin_signature
+from polysem.lexicon import AND_SOURCE, builtin_signature, load_lexicon
 from random_terms import generate_corpus
 from polysem.inductives import NAT, numeral, register_finset, register_nat
 from polysem.syntax import (
@@ -51,7 +52,10 @@ from polysem.syntax import (
     spine,
 )
 
+import reference_syntax
+from polysem.composer import compose, parse_tree
 from test_composer import RECURSOR_CORPUS, _recursor_signature
+from test_reader import load_workloads
 
 
 def is_eta_long(term: Term, sig, ctx=EMPTY_CONTEXT) -> bool:
@@ -240,6 +244,75 @@ def test_substitute_matches_reference_on_recursor_corpus(monkeypatch):
     assert seen
     for body, var, arg in seen:
         _assert_substitutes_as_reference(body, var, arg)
+
+
+def _batched_runs(normalise, monkeypatch):
+    """(head, spine nodes, body, env, tyenv, result) of each binder run that
+    kernel._fire_run substitutes in one walk while `normalise()` runs."""
+    runs, subst, fire_run = [], kernel._subst, kernel._fire_run.__code__
+
+    def recording(term, env, tyenv):
+        out = subst(term, env, tyenv)
+        caller = sys._getframe(1)
+        if caller.f_code is fire_run:
+            runs.append((caller.f_locals["head"], caller.f_locals["nodes"], term, env, tyenv, out))
+        return out
+
+    monkeypatch.setattr(kernel, "_subst", recording)
+    normalise()
+    monkeypatch.undo()
+    return runs
+
+
+def _one_at_a_time(head, nodes, body):
+    """The run's contractions made one by one, in binder order, by the reference substitutions."""
+    term = head
+    while head is not body:
+        node, nodes, head = nodes[0], nodes[1:], head.body
+        term = (_reference_substitute(term.body, term.binder, node.arg) if isinstance(node, App)
+                else reference_syntax.substitute_ty(term.body, term.binder, node.ty_arg))
+    return term
+
+
+def _ambiguity_items():
+    workloads = load_workloads()
+    for seed in (1, 2, 3):
+        w = workloads.make_workload("ambiguity", seed)
+        lex = load_lexicon(w.lexicon_text)
+        for text in sorted({item.text for item in w.items}):
+            compose(parse_tree(text), lex, workloads.LIMIT)
+
+
+# runs whose bodies keep the run's variables: in a binder's type, in a type
+# argument, under a binder of the same name
+RUN_TEXTS = (
+    "(tapp (tapp (tlam a (tlam b (lam (x a) (lam (y b) x)))) e:a) t)",
+    "(app (tapp (tapp (tlam a (tlam b (lam (h (all d (-> d d))) (tapp h (-> a b))))) e:a) t) (tlam d (lam (z d) z)))",
+    "(tapp (tapp (tlam a (tlam d (tlam a (lam (w a) (lam (v d) w))))) t) e:a)",
+    "(app (app (lam (x e:a) (lam (z e:a) (lam (x e:a) (app (app g x) z)))) c) c)",
+)
+
+
+def _typed_corpora():
+    # the seed-4242 random corpus, the recursor corpus and RUN_TEXTS, typed so that closed arguments batch
+    base = register_finset(register_nat(builtin_signature()))
+    base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+    terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
+    sig = _recursor_signature()
+    edge_sig = builtin_signature().extend(sorts=[entity_sort("a")], constants={
+        "g": parse_type("(-> e:a (-> e:a t))"), "c": parse_type("e:a")})
+    for m, m_sig in ([(m, gsig) for m in terms] + [(parse_term(t, sig), sig) for t in RECURSOR_CORPUS.values()]
+                     + [(parse_term(t, edge_sig), edge_sig) for t in RUN_TEXTS]):
+        typecheck(m, m_sig)
+        normalize(m, m_sig)
+
+
+def test_batched_runs_substitute_as_one_variable_at_a_time(monkeypatch):
+    # the multi-variable walk against the one-variable references, not against itself
+    runs = _batched_runs(_ambiguity_items, monkeypatch) + _batched_runs(_typed_corpora, monkeypatch)
+    assert runs and any(env and tyenv for _, _, _, env, tyenv, _ in runs)
+    for head, nodes, body, env, tyenv, out in runs:
+        assert print_term(out) == print_term(_one_at_a_time(head, nodes, body))
 
 
 @pytest.mark.parametrize("body, var, arg, expected", [

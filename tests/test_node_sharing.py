@@ -35,7 +35,7 @@ _OLD_REWRITES = {(REC_NAT, SUCC): ref._rec_nat_succ, (FOLD_SET, INSERT): ref._fo
 
 def _reference_signature(sig):
     """`sig` with the recursor rules that built a fresh recursor constant."""
-    rules = tuple(replace(r, rewrite=lambda _head, elims, scrut, old=_OLD_REWRITES[key]: old(elims, scrut))
+    rules = tuple(replace(r, rewrite=lambda _prefix, elims, scrut, old=_OLD_REWRITES[key]: old(elims, scrut))
                   if (key := (r.recursor_head, r.constructor)) in _OLD_REWRITES else r for r in sig.rules)
     return replace(sig, rules=rules)
 
@@ -144,9 +144,10 @@ def test_lexicon_words_expand_as_the_references():
     " (app (app (tapp InsertS e:nat) Zero) (tapp EmptyS e:nat)))",
 ])
 def test_rewrites_reuse_the_redex_head(text):
-    # step n (R … n): the recursive call is headed by the redex's own constant
+    # step n (R … n): the recursive call is the redex's own prefix R … applied to n
     sig = register_finset(register_nat(builtin_signature()))
     term = parse_term(text, sig)
     out = reduce_once(term, sig)
     assert spine(out.arg)[0] is spine(term)[0]
     assert print_term(out.arg.fn) == print_term(term.fn)
+    assert out.arg.fn is term.fn
