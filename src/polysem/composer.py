@@ -40,6 +40,8 @@ from .syntax import (
     Arrow,
     Forall,
     Lam,
+    MAX_NESTING,
+    Refused,
     SPACE,
     SexprNode,
     Term,
@@ -50,9 +52,11 @@ from .syntax import (
     check_wf_type,
     free_tyvars,
     fresh_name,
+    one_pass,
     parse_sexpr,
     print_type,
     type_from_sexpr,
+    type_from_tokens,
 )
 
 MAIN = "MAIN"
@@ -104,8 +108,32 @@ def _tree_from_sexpr(node: SexprNode) -> ParseTree:
     raise ParseError(f"unknown tree form {head!r}", node.line, node.col)
 
 
+def _tree_from_tokens(tok: str, nxt, depth: int) -> ParseTree:
+    """The one-pass reader of a tree (syntax.one_pass)."""
+    if tok != "(" or depth == MAX_NESTING:
+        raise Refused
+    head, depth = nxt(), depth + 1
+    if head == "LEAF" and (word := nxt()) not in "()":
+        tree = Leaf(word)
+    elif head == "NODE":
+        tree = Node(_tree_from_tokens(nxt(), nxt, depth), _tree_from_tokens(nxt(), nxt, depth))
+    elif head == "TY":
+        sub, tys = _tree_from_tokens(nxt(), nxt, depth), []
+        while (tok := nxt()) != ")":
+            tys.append(type_from_tokens(tok, nxt, depth, None))
+        if not tys:
+            raise Refused
+        return TyAnno(sub, tuple(tys))
+    else:
+        raise Refused
+    if nxt() != ")":
+        raise Refused
+    return tree
+
+
 def parse_tree(text: str) -> ParseTree:
-    return _tree_from_sexpr(parse_sexpr(text))
+    tree = one_pass(text, _tree_from_tokens)
+    return _tree_from_sexpr(parse_sexpr(text)) if tree is None else tree
 
 
 def parse_trees(text: str) -> list[ParseTree]:
@@ -262,6 +290,7 @@ class _Search:
         self.sig = lex.signature
         self.graph = lex.coercions
         self.failures: list[Failure] = []
+        self.identities: dict[int, Term] = {}
 
     def transfers(self, cand: _Cand, domain: Type) -> Iterator[tuple[Use, Term, Type]]:
         """(use, term, codomain) for each transfer of the candidate's word
@@ -298,7 +327,11 @@ class _Search:
         a, b = slot.domain, slot.codomain
         fills: list[tuple[Use, Term]] = []
         if a == b:
-            fills.append((Use(MAIN, None, "main"), Lam("x", a, Var("x"))))
+            # built and typed once per domain object, not per α-equal one: bound
+            # names differ; the identity keeps its domain, so no other object takes its id
+            if (identity := self.identities.get(id(a))) is None:
+                identity = self.identities[id(a)] = Lam("x", a, Var("x"))
+            fills.append((Use(MAIN, None, "main"), identity))
         else:
             co = find_coercion(self.graph, a, b)
             if co is not None:

@@ -296,9 +296,12 @@ def _root_rule(term: Term, sig: Signature):
 def _scrutinee(head: Term, nodes: list, sig: Signature) -> Optional[int]:
     """The index of the node giving a recursor head the scrutinee its rules take."""
     n_ty, k = sig.recursor_shapes.get(head.name, (0, 0)) if isinstance(head, Const) else (0, 0)
-    if 0 < k <= len(nodes) and all(isinstance(n, App) == (i >= n_ty) for i, n in enumerate(nodes[:k])):
-        return k - 1
-    return None
+    if not 0 < k <= len(nodes):
+        return None
+    for i in range(k):
+        if isinstance(nodes[i], App) != (i >= n_ty):
+            return None
+    return k - 1
 
 
 def _rule_for(recursor: str, scrutinee: Term, sig: Signature):
@@ -656,8 +659,12 @@ def expand_definitions(term: Term, sig: Signature) -> Term:
     `sig.definitions`: they remember nothing that names a signature, so what
     the kernel remembers on the result never refers back to `sig`.  A part
     with no definable constant comes back as the same object.  Definitions
-    are closed and non-recursive, so one bottom-up pass suffices."""
-    return _expand(term, sig.definitions, False) if sig.definitions else term
+    are closed and non-recursive, so one bottom-up pass suffices.  A term
+    whose constants parse_term recorded, none definable, comes back at once."""
+    defs = sig.definitions
+    if not defs or term._consts is not None and term._consts.isdisjoint(defs):
+        return term
+    return _expand(term, defs, False)
 
 
 def _expand(term: Term, defs: dict, copy: bool) -> Term:

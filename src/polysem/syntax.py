@@ -168,6 +168,7 @@ class Term:
 
     __slots__ = ()
     _key = _hash = _fv = _ftv = None
+    _consts = None  # the names of the constants in a term parse_term returns
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -251,16 +252,8 @@ def apps(head: Term, *args) -> Term:
 
 def spine(term: Term) -> tuple[Term, list[Union[Term, Type]]]:
     """Decompose nested applications into (head, eliminations)."""
-    elims: list[Union[Term, Type]] = []
-    while True:
-        if isinstance(term, App):
-            elims.append(term.arg)
-            term = term.fn
-        elif isinstance(term, TyApp):
-            elims.append(term.ty_arg)
-            term = term.fn
-        else:
-            return term, list(reversed(elims))
+    head, nodes = spine_nodes(term)
+    return head, [n.arg if isinstance(n, App) else n.ty_arg for n in nodes]
 
 
 def spine_nodes(term: Term) -> tuple[Term, list[Union[App, TyApp]]]:
@@ -332,11 +325,7 @@ def canon_term(term: Term, tenv: Mapping[str, int] = {}, tyenv: Mapping[str, int
 
 def alpha_eq(a, b) -> bool:
     """Alpha-equivalence, over both Terms and Types."""
-    if isinstance(a, Type) and isinstance(b, Type):
-        return canon_type(a) == canon_type(b)
-    if isinstance(a, Term) and isinstance(b, Term):
-        return canon_term(a) == canon_term(b)
-    return False
+    return isinstance(a, (Type, Term)) and a == b
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +457,8 @@ class Signature:
 
     def extend(self, sorts=(), constants: Optional[Mapping[str, Type]] = None,
                definitions: Optional[Mapping[str, Term]] = None, rules=()) -> "Signature":
-        new_consts = dict(self.constants)
-        new_consts.update(constants or {})
-        new_defs = dict(self.definitions)
-        new_defs.update(definitions or {})
-        return Signature(
-            sorts=self.sorts | frozenset(sorts),
-            constants=new_consts,
-            definitions=new_defs,
-            rules=self.rules + tuple(rules),
-        )
+        return Signature(self.sorts | frozenset(sorts), {**self.constants, **(constants or {})},
+                         {**self.definitions, **(definitions or {})}, self.rules + tuple(rules))
 
     def entity_sorts(self) -> list[Sort]:
         return sorted((s for s in self.sorts if s.kind == "entity"), key=lambda s: s.name)
@@ -542,6 +523,49 @@ def parse_sexpr(text: str) -> SexprNode:
 # ---------------------------------------------------------------------------
 # Type and term parsing
 
+_FAST_TOKEN = re.compile(f"[()]|{ATOM.pattern}")
+
+
+class Refused(Exception):
+    """A one-pass reader's refusal of its text."""
+
+
+def one_pass(text: str, read, *context):
+    """What `read(tok, nxt, depth, *context)` builds from the whole of `text`; None where it refuses.
+    A reader builds the node starting at token `tok`, taking later tokens from `nxt`, inside `depth`
+    lists.  It makes its grammar walker's checks but keeps no line or column: where one fails, or
+    lists nest deeper than MAX_NESTING, it raises Refused, and the walker reads the text for the error."""
+    tokens = iter(_FAST_TOKEN.findall(text))
+    try:
+        node = read(next(tokens), tokens.__next__, 0, *context)
+    except (Refused, StopIteration):
+        return None
+    return node if next(tokens, None) is None else None
+
+
+def type_from_tokens(tok: str, nxt, depth: int, sorts) -> Type:
+    if tok == "(" and depth < MAX_NESTING:
+        head, depth = nxt(), depth + 1
+        if head == "->":
+            ty = Arrow(type_from_tokens(nxt(), nxt, depth, sorts), type_from_tokens(nxt(), nxt, depth, sorts))
+        elif head == "all" and (binder := nxt()) not in "()":
+            ty = Forall(binder, type_from_tokens(nxt(), nxt, depth, sorts))
+        elif head == "set":
+            ty = SetOf(type_from_tokens(nxt(), nxt, depth, sorts))
+        else:
+            raise Refused
+        if nxt() == ")":
+            return ty
+    elif tok == "t":
+        return PROP
+    elif tok.startswith("e:"):
+        sort = len(tok) > 2 and entity_sort(tok[2:])
+        if sort and (sorts is None or sort in sorts):
+            return Base(sort)
+    elif tok not in "()":
+        return TyVar(tok)
+    raise Refused
+
 
 def type_from_sexpr(node: SexprNode, known_sorts) -> Type:
     if node.atom is not None:
@@ -578,7 +602,8 @@ def type_from_sexpr(node: SexprNode, known_sorts) -> Type:
 def parse_type(text: str, known_sorts=None) -> Type:
     """Parse a type.  When `known_sorts` (a collection of Sort) is given,
     undeclared entity sorts raise UnknownSort."""
-    return type_from_sexpr(parse_sexpr(text), known_sorts)
+    ty = one_pass(text, type_from_tokens, known_sorts)
+    return type_from_sexpr(parse_sexpr(text), known_sorts) if ty is None else ty
 
 
 def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], allow_free: bool,
@@ -587,11 +612,8 @@ def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], all
         name = node.atom
         if name in bound:
             return Var(name)
-        if (const := consts.get(name)) is not None:
-            return const
         if sig.has_constant(name):
-            const = consts[name] = Const(name, sig.constants[name])
-            return const
+            return consts.setdefault(name, Const(name, sig.constants[name]))
         if allow_free:
             return Var(name)
         raise UnknownConstant(f"unknown constant {name!r}", node.line, node.col)
@@ -622,12 +644,48 @@ def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], all
     raise ParseError(f"unknown term form {head!r}", node.line, node.col)
 
 
+def term_from_tokens(tok: str, nxt, depth: int, sig: Signature, bound: frozenset[str], allow_free: bool,
+                     consts: dict[str, Const]) -> Term:
+    if tok == "(" and depth < MAX_NESTING:
+        head, depth = nxt(), depth + 1
+        if head == "app":
+            term = App(term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts),
+                       term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts))
+        elif head == "lam" and depth < MAX_NESTING and nxt() == "(" and (binder := nxt()) not in "()":
+            ty = type_from_tokens(nxt(), nxt, depth + 1, None)
+            if nxt() != ")":
+                raise Refused
+            term = Lam(binder, ty, term_from_tokens(nxt(), nxt, depth, sig, bound | {binder}, allow_free, consts))
+        elif head == "tlam" and (binder := nxt()) not in "()":
+            term = TyLam(binder, term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts))
+        elif head == "tapp":
+            term = TyApp(term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts),
+                         type_from_tokens(nxt(), nxt, depth, None))
+        else:
+            raise Refused
+        if nxt() == ")":
+            return term
+    elif tok in bound:  # no binder is a parenthesis
+        return Var(tok)
+    elif (const := consts.get(tok)) is not None or tok in sig.constants and tok not in "()":
+        return const or consts.setdefault(tok, Const(tok, sig.constants[tok]))
+    elif allow_free and tok not in "()":
+        return Var(tok)
+    raise Refused
+
+
 def parse_term(text: str, sig: Signature, allow_free: bool = True) -> Term:
     """Parse a term against `sig`.  Identifiers resolve first to enclosing
     binders, then to signature constants; anything else is a free variable
     unless `allow_free` is false, in which case it raises UnknownConstant.
-    Every occurrence of one constant in the text is one Const node."""
-    return _term_from_sexpr(parse_sexpr(text), sig, frozenset(), allow_free, {})
+    Every occurrence of one constant in the text is one Const node, and the
+    term remembers the names of its constants."""
+    consts: dict[str, Const] = {}
+    term = one_pass(text, term_from_tokens, sig, frozenset(), allow_free, consts)
+    if term is None:
+        term = _term_from_sexpr(parse_sexpr(text), sig, frozenset(), allow_free, consts)
+    object.__setattr__(term, "_consts", frozenset(consts))
+    return term
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ class TermGenerator:
     rng: random.Random
     max_depth: int = 5
     use_inductives: bool = True
+    runs: bool = False  # half the planted redexes are λ/Λ runs over two or three closed arguments
     _seeds: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -135,9 +136,12 @@ class TermGenerator:
             case "tyredex":
                 # (tlam a M)[T] with a unused in M: type is unchanged
                 a = f"h{depth}_{len(ctx)}"
+                names = [a] + [f"{a}_{i}" for i in range(1, self._run_length())]
                 inner = self.random_term(ty, ctx, depth + 1)
-                arg_ty = self.random_type(self.max_depth - 1)
-                return TyApp(TyLam(a, inner), arg_ty)
+                arg_tys = [self.random_type(self.max_depth - 1) for _ in names]
+                for name in reversed(names):
+                    inner = TyLam(name, inner)
+                return apps(inner, *arg_tys)
             case "recursor":
                 n = self.rng.randrange(0, 4)
                 base = self.random_term(NAT, ctx, depth + 1)
@@ -160,19 +164,25 @@ class TermGenerator:
                             finite_set(elems, elem))
         raise AssertionError
 
+    def _run_length(self) -> int:
+        return self.rng.randint(2, 3) if self.runs and self.rng.random() < 0.5 else 1
+
     def _redex(self, ty: Type, ctx: tuple, depth: int) -> Term:
-        arg_ty = self.random_type(self.max_depth - 1)
-        x = f"v{len(ctx)}"
-        body = self.random_term(ty, ctx + ((x, arg_ty),), depth + 1)
-        arg = self.random_term(arg_ty, ctx, depth + 1)
-        return App(Lam(x, arg_ty, body), arg)
+        n = self._run_length()
+        params = tuple((f"v{len(ctx) + i}", self.random_type(self.max_depth - 1)) for i in range(n))
+        body = self.random_term(ty, ctx + params, depth + 1)
+        # a run's arguments are closed (closed types need no context)
+        args = [self.random_term(arg_ty, ctx if n == 1 else (), depth + 1) for _, arg_ty in params]
+        for x, arg_ty in reversed(params):
+            body = Lam(x, arg_ty, body)
+        return apps(body, *args)
 
 
 def generate_corpus(sig: Signature, seed: int, count: int,
-                    use_inductives: bool = True) -> tuple[list[Term], Signature]:
+                    use_inductives: bool = True, runs: bool = False) -> tuple[list[Term], Signature]:
     """`count` closed well-typed terms plus the signature extended with the
     seed constants they mention."""
-    gen = TermGenerator(sig, random.Random(seed), use_inductives=use_inductives)
+    gen = TermGenerator(sig, random.Random(seed), use_inductives=use_inductives, runs=runs)
     terms = []
     for _ in range(count):
         ty = gen.random_type()

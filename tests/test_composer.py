@@ -758,6 +758,9 @@ def test_batched_contractions_match_the_stepper_on_the_random_corpus(monkeypatch
     base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
     terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
     _batched(terms, gsig, monkeypatch)
+    # that corpus gives each planted redex one argument; this one plants λ/Λ runs
+    runs, rsig = generate_corpus(base, seed=4242, count=300, use_inductives=True, runs=True)
+    assert _batched(runs, rsig, monkeypatch) > 0
 
 
 def test_rightmost_innermost_matches_the_stepper_on_the_recursor_corpus(monkeypatch):
