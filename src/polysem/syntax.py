@@ -457,8 +457,8 @@ class Signature:
 
     def extend(self, sorts=(), constants: Optional[Mapping[str, Type]] = None,
                definitions: Optional[Mapping[str, Term]] = None, rules=()) -> "Signature":
-        return Signature(self.sorts | frozenset(sorts), {**self.constants, **(constants or {})},
-                         {**self.definitions, **(definitions or {})}, self.rules + tuple(rules))
+        return Signature(sorts=self.sorts | frozenset(sorts), constants={**self.constants, **(constants or {})},
+                         definitions={**self.definitions, **(definitions or {})}, rules=self.rules + tuple(rules))
 
     def entity_sorts(self) -> list[Sort]:
         return sorted((s for s in self.sorts if s.kind == "entity"), key=lambda s: s.name)

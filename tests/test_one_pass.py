@@ -5,11 +5,11 @@ parse_type, parse_term and parse_tree read a text in one pass from its tokens
 and the grammar walkers, which raise the located error.  The inputs: random
 types, terms and trees printed with random separators, the same texts with
 one piece inserted or deleted (and then one more), every string of up to five
-tokens over a few pieces, the fixture lines, the benchmark's workload texts,
-and text nested at the limit.  On each, each public reader gives the two-pass
-reader's node (equal, and printing the same) or its error (class, message,
-line and column), and the one pass refuses exactly the texts the two-pass
-reader rejects.
+tokens over a few pieces, every atom in every place of every form, the
+fixture lines, the benchmark's workload texts, and text nested at the limit.
+On each, each public reader gives the two-pass reader's node (equal, and
+printing the same) or its error (class, message, line and column), and the
+one pass refuses exactly the texts the two-pass reader rejects.
 """
 
 import itertools
@@ -173,6 +173,22 @@ def test_short_token_strings_read_as_by_the_two_pass_reader(lex):
                 for tokens in itertools.product(("(", ")", "x", keyword), repeat=n):
                     for kind in kinds:
                         _check(readers, kind, " ".join(tokens))
+
+
+# every atom in every place of every form, and each form with one token too
+# many and its closing parenthesis missing
+TEMPLATES = ("{}", "(-> {} t)", "(all {} t)", "(set {})", "(app barks {})", "(lam ({} t) x)", "(lam (x {}) x)",
+             "(tlam {} x)", "(tapp x {})", "(LEAF {})", "(NODE (LEAF a) {})", "(TY (LEAF a) {})",
+             "(-> t t {}", "(all a t {}", "(set t {}", "(app barks x {}", "(lam (x t {} x)", "(lam (x t) x {}",
+             "(tlam a x {}", "(tapp x t {}", "(LEAF a {}", "(NODE (LEAF a) (LEAF a) {}")
+ATOMS = ("t", "e:", "e:dog", "e:cat", "x", "barks", "zzz", "λ", "\x0c", "lam", "(", ")")
+
+
+def test_atoms_in_every_place_read_as_by_the_two_pass_reader(lex):
+    readers = _readers(lex.signature)
+    for template in TEMPLATES:
+        for atom in ATOMS:
+            _check_all(readers, template.format(atom))
 
 
 def _fields(text: str):
