@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the composer on tree ontologies of 80 to 640 sorts, and count the
-arrow lifts it builds.
+"""Time the lexicon load and the composer on tree ontologies of 80 to 640
+sorts, and count the arrow lifts the composer builds.
 
     python3 scripts/ontology_scaling.py [max_sorts] [seed]    # default 640, 1
 
@@ -11,8 +11,9 @@ below j (one arrow lift along the path from k up to j) and 10 with k outside
 j's subtree (NoPath), as in one perfbench cycle.  A tree runs as perfbench
 runs it: `compose`, then `diagnose` when there is no analysis.
 
-One JSON line per size: the mean over the trees of each tree's best of 3
-times, and the `coercion._lift` calls (lift terms built) per tree.
+One JSON line per size: the best of 3 `load_lexicon` times of the
+ontology's lexicon, the mean over the trees of each tree's best of 3 times,
+and the `coercion._lift` calls (lift terms built) per tree.
 """
 
 import json
@@ -53,7 +54,11 @@ def main():
     lift, lifts = coercion._lift, []
     for n in (n for n in SIZES if n <= max_sorts):
         text, mean_depth, trees = ontology(n, rng)
-        lex = load_lexicon(text)
+        loads = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            lex = load_lexicon(text)
+            loads.append(time.perf_counter() - start)
         best = []
         for tree in trees:
             times = []
@@ -71,6 +76,7 @@ def main():
             coercion._lift = lift
         print(json.dumps({"sorts": n, "trees": len(trees),
                           "mean_depth": mean_depth,
+                          "load_ms": round(1e3 * min(loads), 4),
                           "ms_per_tree": round(1e3 * sum(best) / len(best), 4),
                           "lifts_per_tree": len(lifts) / len(trees)}))
 

@@ -47,6 +47,7 @@ from .syntax import (
     Term,
     TyVar,
     Type,
+    Value,
     Var,
     canon_term,
     check_wf_type,
@@ -66,21 +67,30 @@ MAIN = "MAIN"
 # Parse trees
 
 
-@dataclass(frozen=True)
-class Leaf:
+@dataclass(frozen=True, eq=False, repr=False)
+class Leaf(Value):
     word: str
 
+    def _parts(self):
+        return (f"Leaf(word={self.word!r})",)
 
-@dataclass(frozen=True)
-class Node:
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Node(Value):
     fn: "ParseTree"
     arg: "ParseTree"
 
+    def _parts(self):
+        return "Node(fn=", self.fn, ", arg=", self.arg, ")"
 
-@dataclass(frozen=True)
-class TyAnno:
+
+@dataclass(frozen=True, eq=False, repr=False)
+class TyAnno(Value):
     sub: "ParseTree"
     ty_args: tuple[Type, ...]
+
+    def _parts(self):
+        return "TyAnno(sub=", self.sub, ", ty_args=", self.ty_args, ")"
 
 
 ParseTree = Union[Leaf, Node, TyAnno]

@@ -8,7 +8,7 @@ heads.  Eta-long forms are computed only after beta-normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -453,7 +453,8 @@ def _lo(term: Term, sig: Signature, fuel: list, stop: Optional[str] = None) -> T
             out = head
             if isinstance(head, (Lam, TyLam)):
                 body = _lo(head.body, sig, fuel)
-                out = head if body is head.body else replace(head, body=body)
+                out = head if body is head.body else (Lam(head.binder, head.binder_type, body)
+                                                      if isinstance(head, Lam) else TyLam(head.binder, body))
             for i, n in enumerate(nodes):
                 if isinstance(n, TyApp):
                     out = n if out is n.fn else TyApp(out, n.ty_arg)
@@ -477,7 +478,8 @@ def _ri(term: Term, sig: Signature, fuel: list) -> Term:
     while True:
         if isinstance(out, (Lam, TyLam)):
             body = _ri(out.body, sig, fuel)
-            out = out if body is out.body else replace(out, body=body)
+            out = out if body is out.body else (Lam(out.binder, out.binder_type, body)
+                                                if isinstance(out, Lam) else TyLam(out.binder, body))
         elif isinstance(out, App):
             arg, fn = _ri(out.arg, sig, fuel), _ri(out.fn, sig, fuel)
             out = out if fn is out.fn and arg is out.arg else App(fn, arg)

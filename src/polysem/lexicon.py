@@ -63,15 +63,21 @@ AND_SOURCE = (
     " (tlam c (lam (x c) (lam (f (-> c a)) (lam (g (-> c b))"
     " (app (app ∧ (app P (app f x))) (app Q (app g x)))))))))))"
 )
+# AND is read and typed once, under ∧ alone, and every builtin signature shares its term and type:
+# expand_definitions copies the term's nodes, so what the kernel remembers for a lexicon goes on copies.
+AND_SIGNATURE = Signature(constants={"∧": arrows(PROP, PROP, PROP)})
+AND_TERM = parse_term(AND_SOURCE, AND_SIGNATURE, allow_free=False)
+AND_TYPE = typecheck(AND_TERM, AND_SIGNATURE)
 
 
 def builtin_signature() -> Signature:
     """Logical constants: connectives, typed quantifiers, Hilbert operators,
-    and the polymorphic conjunction AND as a definable constant."""
+    and the polymorphic conjunction AND as a definable constant.  The ∀, ∃, ε
+    and τ types are the signature's own, since a ∀ keeps a table of its instances."""
     a = TyVar("a")
     quant = Forall("a", Arrow(Arrow(a, PROP), PROP))
     choice = Forall("a", Arrow(Arrow(a, PROP), a))
-    sig = Signature(
+    return Signature(
         constants={
             "∧": arrows(PROP, PROP, PROP),
             "¬": Arrow(PROP, PROP),
@@ -80,11 +86,10 @@ def builtin_signature() -> Signature:
             "∃": quant,
             "ε": choice,
             "τ": choice,
-        }
+            "AND": AND_TYPE,
+        },
+        definitions={"AND": AND_TERM},
     )
-    and_term = parse_term(AND_SOURCE, sig, allow_free=False)
-    and_type = typecheck(and_term, sig)
-    return sig.extend(constants={"AND": and_type}, definitions={"AND": and_term})
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ ParseError (`LINE:COL: message`), and so does one nesting over MAX_NESTING.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from operator import itemgetter
 from typing import Mapping, Optional, Union
 
 from .errors import (
@@ -34,26 +35,88 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
+# Value classes: frozen, with ==, hash and repr that recurse into no part
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def node_class(cls):
+    """`cls` rebuilt with its annotated fields in slots, which the constructor
+    fills in order through their descriptors, and a `__dict__` for the facts
+    stored on the node."""
+    fields = tuple(cls.__annotations__)
+    attrs = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    new = type(cls)(cls.__name__, cls.__bases__,
+                    {**attrs, "__match_args__": fields, "__slots__": fields + ("__dict__", "__weakref__")})
+    namespace = {f"_{f}": getattr(new, f).__set__ for f in fields}
+    exec(f"def __init__(self, {', '.join(fields)}):" + "".join(f"\n _{f}(self, {f})" for f in fields), namespace)
+    new.__init__ = namespace["__init__"]
+    return new
+
+
+def _flat_parts(value) -> list:
+    """The strings and other objects that `value`'s `_parts()` give, each part
+    that has `_parts` replaced by its own, in order, without recursion."""
+    out, todo = [], [value]
+    while todo:
+        item = todo.pop()
+        if hasattr(item, "_parts"):
+            todo += reversed(item._parts())
+        else:
+            out.append(item)
+    return out
+
+
+class Value:
+    """A frozen value whose ==, hash and repr go by its flat parts, so that they
+    hold at any depth the reader admits.  Type and Term keep their own == and hash."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return _flat_parts(self) == _flat_parts(other) if isinstance(other, Value) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(_flat_parts(self)))
+
+    def __repr__(self):
+        return "".join(p if isinstance(p, str) else repr(p) for p in _flat_parts(self))
+
+    def __reduce__(self):  # copy and pickle build the value from its fields, without stored facts
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# ---------------------------------------------------------------------------
 # Sorts
 
 
-@dataclass(frozen=True)
-class Sort:
-    """A base sort: the proposition sort or a named entity sort."""
+class Sort(tuple):
+    """A base sort, the tuple (kind, name): the proposition sort or a named entity sort."""
 
-    kind: str  # "prop" | "entity"
-    name: str = ""
+    __slots__ = ()
+    __match_args__ = ("kind", "name")
+    kind = property(itemgetter(0))  # "prop" | "entity"
+    name = property(itemgetter(1))
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.kind not in ("prop", "entity"):
-            raise ValueError(f"bad sort kind {self.kind!r}")
-        if self.kind == "prop" and self.name:
-            raise ValueError("the proposition sort is unnamed")
-        if self.kind == "entity" and not self.name:
-            raise ValueError("entity sorts must be named")
+    def __new__(cls, kind: str, name: str = ""):
+        if kind not in ("prop", "entity"):
+            raise ValueError(f"bad sort kind {kind!r}")
+        if (kind == "prop") == bool(name):  # only an entity sort has a name
+            raise ValueError("the proposition sort is unnamed" if name else "entity sorts must be named")
+        return tuple.__new__(cls, (kind, name))
 
     def __str__(self) -> str:
         return "t" if self.kind == "prop" else f"e:{self.name}"
+
+    def __repr__(self) -> str:
+        return f"Sort(kind={self.kind!r}, name={self.name!r})"
+
+    def __getnewargs__(self):  # copy and pickle call Sort(kind, name)
+        return tuple(self)
 
 
 PROP_SORT = Sort("prop")
@@ -67,7 +130,7 @@ def entity_sort(name: str) -> Sort:
 # Types
 
 
-class Type:
+class Type(Value):
     """Base class of the type language.  Equality is alpha-equivalence.  A node
     stores its key, the key's hash and its free type variables on first use."""
 
@@ -96,50 +159,50 @@ class Type:
         return print_type(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class Base(Type):
     sort: Sort
     _ftv = frozenset()
 
-    def __repr__(self):
-        return f"Base({self.sort})"
+    def _parts(self):
+        return (f"Base({self.sort})",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class TyVar(Type):
     name: str
 
-    def __repr__(self):
-        return f"TyVar({self.name})"
+    def _parts(self):
+        return (f"TyVar({self.name})",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class Arrow(Type):
     domain: Type
     codomain: Type
 
-    def __repr__(self):
-        return f"Arrow({self.domain!r}, {self.codomain!r})"
+    def _parts(self):
+        return "Arrow(", self.domain, ", ", self.codomain, ")"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class Forall(Type):
     binder: str
     body: Type
 
-    def __repr__(self):
-        return f"Forall({self.binder}, {self.body!r})"
+    def _parts(self):
+        return f"Forall({self.binder}, ", self.body, ")"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class SetOf(Type):
     """Finite-set type former; a structural node so that type substitution
     can rewrite under it (a reserved base-sort family could not)."""
 
     elem: Type
 
-    def __repr__(self):
-        return f"SetOf({self.elem!r})"
+    def _parts(self):
+        return "SetOf(", self.elem, ")"
 
 
 PROP = Base(PROP_SORT)
@@ -161,7 +224,7 @@ def arrows(*types: Type) -> Type:
 # Terms
 
 
-class Term:
+class Term(Value):
     """Base class of the term language.  Equality is alpha-equivalence.  A node
     stores its key, the key's hash and its free term and type variables on
     first use."""
@@ -186,60 +249,60 @@ class Term:
         return print_term(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class Var(Term):
     name: str
     _ftv = frozenset()
 
-    def __repr__(self):
-        return f"Var({self.name})"
+    def _parts(self):
+        return (f"Var({self.name})",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class Const(Term):
     name: str
     declared_type: Type
     _fv = frozenset()
 
-    def __repr__(self):
-        return f"Const({self.name})"
+    def _parts(self):
+        return (f"Const({self.name})",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class Lam(Term):
     binder: str
     binder_type: Type
     body: Term
 
-    def __repr__(self):
-        return f"Lam({self.binder}:{self.binder_type}, {self.body!r})"
+    def _parts(self):
+        return f"Lam({self.binder}:{self.binder_type}, ", self.body, ")"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class App(Term):
     fn: Term
     arg: Term
 
-    def __repr__(self):
-        return f"App({self.fn!r}, {self.arg!r})"
+    def _parts(self):
+        return "App(", self.fn, ", ", self.arg, ")"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class TyLam(Term):
     binder: str
     body: Term
 
-    def __repr__(self):
-        return f"TyLam({self.binder}, {self.body!r})"
+    def _parts(self):
+        return f"TyLam({self.binder}, ", self.body, ")"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@node_class
 class TyApp(Term):
     fn: Term
     ty_arg: Type
 
-    def __repr__(self):
-        return f"TyApp({self.fn!r}, {self.ty_arg})"
+    def _parts(self):
+        return "TyApp(", self.fn, f", {self.ty_arg})"
 
 
 def apps(head: Term, *args) -> Term:

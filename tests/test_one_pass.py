@@ -86,16 +86,16 @@ def _outcome(read, show, text):
     return ("read", node, show(node))
 
 
-def _check(readers, kind: str, text: str, equal: bool = True) -> bool:
+def _check(readers, kind: str, text: str) -> bool:
     """Asserts that the readers of `kind` agree on `text`; whether the one pass
-    read it.  Without `equal` the nodes are compared by their prints alone."""
+    read it."""
     fast, public, two_pass, show = readers[kind]
     want, got = _outcome(two_pass, show, text), _outcome(public, show, text)
-    assert got[0] == want[0] and got[2:] == want[2:] and (not equal or got[1] == want[1]), (kind, text)
+    assert got[0] == want[0] and got[2:] == want[2:] and got[1] == want[1], (kind, text)
     one = fast(text)
     assert (one is None) == (want[0] == "error"), (kind, text)
     if one is not None:
-        assert (not equal or one == want[1]) and show(one) == want[2], (kind, text)
+        assert one == want[1] and show(one) == want[2], (kind, text)
     if kind.startswith("term") and want[0] == "read":
         assert got[1]._consts == {n.name for n in _nodes(got[1]) if isinstance(n, Const)}, text
     return one is not None
@@ -232,8 +232,7 @@ def test_workload_texts_read_in_one_pass():
 @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
 def test_text_nested_at_the_limit(lex, depth):
     """At the limit the one pass reads the text; one list deeper it refuses it,
-    and the two-pass reader's error is raised.  (A tree's == recurses in C,
-    which these depths overflow.)"""
+    and the two-pass reader's error is raised."""
     readers = _readers(lex.signature)
     n = depth - 1
     for kind, text in [
@@ -245,4 +244,4 @@ def test_text_nested_at_the_limit(lex, depth):
         ("tree", "(NODE (LEAF a) " * n + "(LEAF a)" + ")" * n),
         ("tree", "(TY " * n + "(LEAF a)" + " (set t))" * n),
     ]:
-        assert _check(readers, kind, text, equal=kind != "tree") == (depth == MAX_NESTING), (kind, depth)
+        assert _check(readers, kind, text) == (depth == MAX_NESTING), (kind, depth)
