@@ -320,23 +320,25 @@ def reduce_once(term: Term, sig: Signature, strategy: str = LEFTMOST_OUTERMOST) 
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _with_body(node: Term, body: Term) -> Term:
+    """The λ or Λ `node` with `body` for its body."""
+    return Lam(node.binder, node.binder_type, body) if isinstance(node, Lam) else TyLam(node.binder, body)
+
+
 def _reduce_lo(term: Term, sig: Signature) -> Optional[Term]:
     out = _contract(term, sig)
     if out is not None:
         return out
     match term:
-        case Lam(binder, binder_type, body):
-            b = _reduce_lo(body, sig)
-            return None if b is None else Lam(binder, binder_type, b)
+        case Lam() | TyLam():
+            b = _reduce_lo(term.body, sig)
+            return None if b is None else _with_body(term, b)
         case App(fn, arg):
             f = _reduce_lo(fn, sig)
             if f is not None:
                 return App(f, arg)
             a = _reduce_lo(arg, sig)
             return None if a is None else App(fn, a)
-        case TyLam(binder, body):
-            b = _reduce_lo(body, sig)
-            return None if b is None else TyLam(binder, b)
         case TyApp(fn, ty_arg):
             f = _reduce_lo(fn, sig)
             return None if f is None else TyApp(f, ty_arg)
@@ -345,10 +347,10 @@ def _reduce_lo(term: Term, sig: Signature) -> Optional[Term]:
 
 def _reduce_ri(term: Term, sig: Signature) -> Optional[Term]:
     match term:
-        case Lam(binder, binder_type, body):
-            b = _reduce_ri(body, sig)
+        case Lam() | TyLam():
+            b = _reduce_ri(term.body, sig)
             if b is not None:
-                return Lam(binder, binder_type, b)
+                return _with_body(term, b)
         case App(fn, arg):
             a = _reduce_ri(arg, sig)
             if a is not None:
@@ -356,10 +358,6 @@ def _reduce_ri(term: Term, sig: Signature) -> Optional[Term]:
             f = _reduce_ri(fn, sig)
             if f is not None:
                 return App(f, arg)
-        case TyLam(binder, body):
-            b = _reduce_ri(body, sig)
-            if b is not None:
-                return TyLam(binder, b)
         case TyApp(fn, ty_arg):
             f = _reduce_ri(fn, sig)
             if f is not None:
@@ -453,8 +451,7 @@ def _lo(term: Term, sig: Signature, fuel: list, stop: Optional[str] = None) -> T
             out = head
             if isinstance(head, (Lam, TyLam)):
                 body = _lo(head.body, sig, fuel)
-                out = head if body is head.body else (Lam(head.binder, head.binder_type, body)
-                                                      if isinstance(head, Lam) else TyLam(head.binder, body))
+                out = head if body is head.body else _with_body(head, body)
             for i, n in enumerate(nodes):
                 if isinstance(n, TyApp):
                     out = n if out is n.fn else TyApp(out, n.ty_arg)
@@ -478,8 +475,7 @@ def _ri(term: Term, sig: Signature, fuel: list) -> Term:
     while True:
         if isinstance(out, (Lam, TyLam)):
             body = _ri(out.body, sig, fuel)
-            out = out if body is out.body else (Lam(out.binder, out.binder_type, body)
-                                                if isinstance(out, Lam) else TyLam(out.binder, body))
+            out = out if body is out.body else _with_body(out, body)
         elif isinstance(out, App):
             arg, fn = _ri(out.arg, sig, fuel), _ri(out.fn, sig, fuel)
             out = out if fn is out.fn and arg is out.arg else App(fn, arg)
@@ -669,6 +665,11 @@ def expand_definitions(term: Term, sig: Signature) -> Term:
     return _expand(term, defs, False)
 
 
+def copy_term(term: Term) -> Term:
+    """`term` in new nodes, but for its variables and types: it remembers nothing that `term` does."""
+    return _expand(term, {}, True)
+
+
 def _expand(term: Term, defs: dict, copy: bool) -> Term:
     match term:
         case Const(name, declared):
@@ -676,15 +677,12 @@ def _expand(term: Term, defs: dict, copy: bool) -> Term:
             return _expand(d, defs, True) if d is not None else Const(name, declared) if copy else term
         case Var():
             return term
-        case Lam(binder, binder_type, body):
-            b = _expand(body, defs, copy)
-            return Lam(binder, binder_type, b) if copy or b is not body else term
+        case Lam() | TyLam():
+            b = _expand(term.body, defs, copy)
+            return _with_body(term, b) if copy or b is not term.body else term
         case App(fn, arg):
             f, a = _expand(fn, defs, copy), _expand(arg, defs, copy)
             return App(f, a) if copy or f is not fn or a is not arg else term
-        case TyLam(binder, body):
-            b = _expand(body, defs, copy)
-            return TyLam(binder, b) if copy or b is not body else term
         case TyApp(fn, ty_arg):
             f = _expand(fn, defs, copy)
             return TyApp(f, ty_arg) if copy or f is not fn else term

@@ -31,7 +31,7 @@ from .errors import (
     UnknownWord,
 )
 from .inductives import NAT_SORT, register_finset, register_nat
-from .kernel import EMPTY_CONTEXT, expand_definitions, typecheck
+from .kernel import EMPTY_CONTEXT, copy_term, expand_definitions, typecheck
 from .syntax import (
     ATOM,
     PROP,
@@ -63,8 +63,8 @@ AND_SOURCE = (
     " (tlam c (lam (x c) (lam (f (-> c a)) (lam (g (-> c b))"
     " (app (app ∧ (app P (app f x))) (app Q (app g x)))))))))))"
 )
-# AND is read and typed once, under ∧ alone, and every builtin signature shares its term and type:
-# expand_definitions copies the term's nodes, so what the kernel remembers for a lexicon goes on copies.
+# AND is read and typed once, under ∧ alone.  Each builtin signature gets a copy of the term and its own
+# outer ∀, which keeps the table of its instances; the ∀'s body is shared, but an instance rebuilds it.
 AND_SIGNATURE = Signature(constants={"∧": arrows(PROP, PROP, PROP)})
 AND_TERM = parse_term(AND_SOURCE, AND_SIGNATURE, allow_free=False)
 AND_TYPE = typecheck(AND_TERM, AND_SIGNATURE)
@@ -72,8 +72,8 @@ AND_TYPE = typecheck(AND_TERM, AND_SIGNATURE)
 
 def builtin_signature() -> Signature:
     """Logical constants: connectives, typed quantifiers, Hilbert operators,
-    and the polymorphic conjunction AND as a definable constant.  The ∀, ∃, ε
-    and τ types are the signature's own, since a ∀ keeps a table of its instances."""
+    and the polymorphic conjunction AND as a definable constant.  Its ∀ types
+    and AND's definition are its own, since the kernel stores facts on them."""
     a = TyVar("a")
     quant = Forall("a", Arrow(Arrow(a, PROP), PROP))
     choice = Forall("a", Arrow(Arrow(a, PROP), a))
@@ -86,9 +86,9 @@ def builtin_signature() -> Signature:
             "∃": quant,
             "ε": choice,
             "τ": choice,
-            "AND": AND_TYPE,
+            "AND": Forall(AND_TYPE.binder, AND_TYPE.body),
         },
-        definitions={"AND": AND_TERM},
+        definitions={"AND": copy_term(AND_TERM)},
     )
 
 

@@ -94,7 +94,8 @@ class Value:
 
 
 class Sort(tuple):
-    """A base sort, the tuple (kind, name): the proposition sort or a named entity sort."""
+    """A base sort, the tuple (kind, name): the proposition sort or a named entity
+    sort.  It equals, hashes, unpacks and orders as that tuple."""
 
     __slots__ = ()
     __match_args__ = ("kind", "name")

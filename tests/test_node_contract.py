@@ -7,9 +7,9 @@ referenced.  On the seed-4242 random corpus and the seed-1 items of every
 workload, the reprs and prints, and the partition of the nodes into ==
 classes, have the digests they had when the node classes were frozen
 dataclasses.  ==, hash and repr of terms, types and trees hold at the
-reader's nesting limit.  The definition of AND, which every builtin
-signature shares, remembers nothing under the signature of a lexicon that
-used it.
+reader's nesting limit.  Every builtin signature has its own copy of AND's
+definition and its own AND ∀, so the definition read at import remembers
+nothing under a lexicon's signature.
 """
 
 import copy
@@ -22,7 +22,8 @@ import pytest
 
 from polysem.composer import parse_tree, parse_trees
 from polysem.inductives import register_finset, register_nat
-from polysem.lexicon import AND_TERM, builtin_signature, load_lexicon
+from polysem.kernel import typed_apply
+from polysem.lexicon import AND_SIGNATURE, AND_TERM, AND_TYPE, builtin_signature, load_lexicon
 from polysem.syntax import (
     MAX_NESTING,
     PROP,
@@ -93,6 +94,10 @@ def test_a_sort_is_the_tuple_of_its_kind_and_name():
     assert dog == ("entity", "dog") and hash(dog) == hash(("entity", "dog")) and dog != entity_sort("cat")
     assert (str(dog), repr(dog)) == ("e:dog", "Sort(kind='entity', name='dog')")
     assert (str(PROP_SORT), repr(PROP_SORT)) == ("t", "Sort(kind='prop', name='')")
+    # as a tuple, a sort also unpacks, indexes and orders as (kind, name)
+    (kind, name), cat = dog, entity_sort("cat")
+    assert (kind, name, len(dog), dog[1]) == ("entity", "dog", 2, "dog")
+    assert sorted([dog, PROP_SORT, cat]) == [cat, dog, PROP_SORT] and cat < ("entity", "cow") < dog
     for args, message in [(("bogus",), "bad sort kind 'bogus'"), (("entity",), "entity sorts must be named"),
                           (("entity", ""), "entity sorts must be named"),
                           (("prop", "x"), "the proposition sort is unnamed")]:
@@ -178,11 +183,13 @@ def test_trees_compare_their_type_arguments_up_to_alpha():
     assert one != parse_tree("(TY (LEAF a) (all x t))") and one != parse_tree("(TY (LEAF b) (all x x))")
 
 
-def test_the_shared_and_definition_remembers_nothing_under_a_lexicon(pipeline, fixture_dir):
+def test_the_and_definition_read_at_import_remembers_nothing_under_a_lexicon(pipeline, fixture_dir):
     """Two more lexicons run the fixture trees, after the workloads' three ran
-    their items: no memo on a node of AND's definition names the signature of
-    any of them.  (A caller that typechecks the definition itself, as
-    test_lexicon does, leaves a memo that names its own signature.)"""
+    their items (and test_lexicon typechecked a signature's definition), and
+    each applies an unexpanded AND constant to one of its sorts: each
+    signature's AND term and ∀ are its own, no memo on a node of the import-time
+    term names a signature but AND_SIGNATURE, and no type reachable from that
+    term or from AND_TYPE holds a table of instances or of ∀s."""
     workloads = load_workloads()
     api, text = workloads.make_api(), (fixture_dir / "english.lex").read_text(encoding="utf-8")
     lexicons = [load_lexicon(text), load_lexicon(text)] + pipeline[1]
@@ -190,9 +197,14 @@ def test_the_shared_and_definition_remembers_nothing_under_a_lexicon(pipeline, f
         for line in (fixture_dir / "trees.txt").read_text(encoding="utf-8").split("\n"):
             if parse_trees(line):
                 workloads.run_tree(api, lex, line)
-    assert all(lex.signature.definitions["AND"] is AND_TERM for lex in lexicons)
-    signatures = {id(lex.signature) for lex in lexicons}
-    for x in _walk(AND_TERM):
+    for lex in lexicons:
+        term, ty = lex.signature.definitions["AND"], lex.signature.constants["AND"]
+        assert term == AND_TERM and term is not AND_TERM and ty == AND_TYPE and ty is not AND_TYPE
+        sort = min(lex.signature.sorts)  # an entity sort, where it has one
+        typed_apply(parse_term("AND", lex.signature), [Base(sort)], None, lex.signature, ("r",))
+    assert len({id(lex.signature.definitions["AND"]) for lex in lexicons}) == len(lexicons)
+    for x in _walk(AND_TERM) + _walk(AND_TYPE):
         for fact in ("_type_memo", "_normal_memo", "_canonical_memo"):
             memo = x.__dict__.get(fact)
-            assert memo is None or id(memo[0]) not in signatures, (x, fact)
+            assert memo is None or memo[0] is AND_SIGNATURE, (x, fact)
+        assert "_instances" not in x.__dict__ and "_foralls" not in x.__dict__, x
