@@ -261,7 +261,8 @@ def _lift(ty: Type, new_dom: Type, c: Optional[Term], d: Optional[Term]) -> Term
     """The arrow lift lam f:ty. lam x:new_dom. d (f (c x)) of c: new_dom -> A
     and d: B -> B' for ty = A -> B; a missing c or d is the identity."""
     x = fresh_name("x", {"f"}.union(*(free_vars(co) for co in (c, d) if co is not None)))
-    body = App(Var("f"), Var(x) if c is None else coerce_app(c, Var(x)))
+    reuse = isinstance(c, Lam) and c.binder == x  # c x is c's body, whose free variables choosing x stored
+    body = App(Var("f"), c.body if reuse else Var(x) if c is None else coerce_app(c, Var(x)))
     return Lam("f", ty, Lam(x, new_dom, body if d is None else coerce_app(d, body)))
 
 

@@ -509,14 +509,15 @@ def compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
         raise ValueError("limit must be >= 1")
     search = _Search(lex)
     analyses: list[Analysis] = []
-    seen = set()
+    seen = None  # the keys that drop α-equal normal forms, built once a second analysis comes
     for cand in search.candidates(tree):
         ty = typecheck(cand.term, lex.signature)  # a read: the term was typed as it was built
         nf = normalize(cand.term, lex.signature).term
-        key = canon_term(nf)
-        if key in seen:
-            continue
-        seen.add(key)
+        if analyses:
+            seen = seen or {canon_term(analyses[0].normal_term)}
+            if (key := canon_term(nf)) in seen:
+                continue
+            seen.add(key)
         analyses.append(Analysis(
             term=cand.term,
             normal_term=nf,

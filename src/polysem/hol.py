@@ -49,9 +49,11 @@ from .syntax import (
     TyLam,
     TyVar,
     Type,
+    Value,
     Var,
     apps,
     free_vars,
+    node_class,
     parse_sexpr,
     print_type,
     type_from_sexpr,
@@ -73,15 +75,43 @@ _HILBERT_NAMES = {v: k for k, v in _HILBERT_CONSTANTS.items()}
 # Formula and term ASTs
 
 
-class Formula:
-    pass
+class _Node(Value):
+    """A formula or HOL term node, with a frozen dataclass's ==, hash and repr: types compare up to α."""
+
+    __slots__ = ()
+    _sexpr = _profile = None  # the facts the printer and classify store on a node
+
+    def _parts(self):
+        out = []
+        for name in self.__match_args__:
+            value = getattr(self, name)
+            out.append(f"{', ' if out else type(self).__name__ + '('}{name}=")
+            if name == "args":  # nodes, spelt out as their tuple's repr
+                out += [part for i, arg in enumerate(value) for part in (", " if i else "(", arg)] or ["("]
+                out.append(",)" if len(value) == 1 else ")")
+            elif isinstance(value, (_Node, tuple)):  # a tuple holds type arguments
+                out.append(value)
+            else:
+                out.append(_Shown((value,)) if isinstance(value, Type) else repr(value))
+        return out + [")"]
 
 
-class HolTerm:
-    pass
+class _Shown(tuple):  # a type in a tuple, shown as the type
+    __slots__ = ()
+
+    def __repr__(self):
+        return repr(self[0])
 
 
-@dataclass(frozen=True)
+class Formula(_Node):
+    __slots__ = ()
+
+
+class HolTerm(_Node):
+    __slots__ = ()
+
+
+@node_class
 class Atom(Formula):
     pred: str
     pred_type: Type
@@ -89,13 +119,13 @@ class Atom(Formula):
     args: tuple[HolTerm, ...]
 
 
-@dataclass(frozen=True)
+@node_class
 class Conn(Formula):
     conn: str  # and | not | implies
     args: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@node_class
 class Quant(Formula):
     kind: str  # forall | exists
     var: str
@@ -103,13 +133,13 @@ class Quant(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@node_class
 class HVar(HolTerm):
     name: str
     var_type: Type
 
 
-@dataclass(frozen=True)
+@node_class
 class ConstApp(HolTerm):
     const: str
     const_type: Type
@@ -117,7 +147,7 @@ class ConstApp(HolTerm):
     args: tuple[HolTerm, ...]
 
 
-@dataclass(frozen=True)
+@node_class
 class Hilbert(HolTerm):
     kind: str  # epsilon | tau
     var: str
@@ -125,20 +155,20 @@ class Hilbert(HolTerm):
     body: Formula
 
 
-@dataclass(frozen=True)
+@node_class
 class HAbs(HolTerm):
     var: str
     var_type: Type
     body: Union[HolTerm, Formula]
 
 
-@dataclass(frozen=True)
+@node_class
 class HTyAbs(HolTerm):
     var: str
     body: Union[HolTerm, Formula]
 
 
-@dataclass(frozen=True)
+@node_class
 class Embed(HolTerm):
     """A formula sitting in an argument position of propositional type."""
 
@@ -270,14 +300,20 @@ def type_order(ty: Type) -> int:
     raise TypeError(f"not a Type: {ty!r}")
 
 
-def _entity_sorts_into(ty: Type, acc: set[Sort]) -> None:
-    """Add the entity sorts of `ty` to `acc`: a loop, as it runs on each type of each node."""
-    while isinstance(ty, (Arrow, Forall, SetOf)):
-        if isinstance(ty, Arrow):
-            _entity_sorts_into(ty.domain, acc)
-        ty = ty.codomain if isinstance(ty, Arrow) else ty.body if isinstance(ty, Forall) else ty.elem
-    if isinstance(ty, Base) and ty.sort.kind == "entity":
-        acc.add(ty.sort)
+def _entity_sorts(ty: Type) -> frozenset[Sort]:
+    """The entity sorts of `ty`, stored on it: the formula nodes of a tree's readings share their types."""
+    if (out := getattr(ty, "_sorts", None)) is None:
+        sorts, todo = set(), [ty]
+        while todo:
+            match todo.pop():
+                case Arrow(dom, cod):
+                    todo += (dom, cod)
+                case Forall(_, inner) | SetOf(inner):
+                    todo.append(inner)
+                case Base(sort) if sort.kind == "entity":
+                    sorts.add(sort)
+        object.__setattr__(ty, "_sorts", out := frozenset(sorts))
+    return out
 
 
 def classify(f: Union[Formula, HolTerm]) -> LogicProfile:
@@ -290,7 +326,7 @@ def classify(f: Union[Formula, HolTerm]) -> LogicProfile:
 
 def _profile(node) -> tuple[int, set[Sort]]:
     """The order and the entity sorts of `node`, stored on it: a tree's readings share subformulas."""
-    if (out := getattr(node, "_profile", None)) is not None:
+    if (out := node._profile) is not None:
         return out
     order = 1
     match node:
@@ -314,7 +350,7 @@ def _profile(node) -> tuple[int, set[Sort]]:
         order = max(order, o)
         sorts |= s
     for t in types:
-        _entity_sorts_into(t, sorts)
+        sorts |= _entity_sorts(t)
     object.__setattr__(node, "_profile", (order, sorts))
     return order, sorts
 
@@ -337,7 +373,7 @@ def print_formula(f: Union[Formula, HolTerm], style: str = SEXPR) -> str:
 
 def _print_sexpr(f) -> str:
     """The s-expression of `f`, stored on it: a tree's readings share subformulas."""
-    if (out := getattr(f, "_sexpr", None)) is not None:
+    if (out := f._sexpr) is not None:
         return out
     match f:
         case Atom(pred, _, ty_args, args) | ConstApp(pred, _, ty_args, args):

@@ -112,6 +112,8 @@ def _subst(term: Term, env: dict, tyenv: dict) -> Term:
     """`term` with the term variables of `env` and the type variables of `tyenv` replaced at once (in a type,
     tyenv's one after another: alike for one or for closed ones).  Untouched parts come back as they are; a
     binder is renamed only when it would capture a free variable of a replacement for a variable free under it."""
+    if env and (fv := term._fv) is not None and fv.isdisjoint(env):
+        env = {}  # the part's stored free variables miss env (none are computed for this)
     if not env and (not tyenv or free_tyvars_in_term(term).isdisjoint(tyenv)):
         return term
     match term:  # applications first, as most nodes are; no closure here, as a captured local costs each call

@@ -20,9 +20,11 @@ from polysem.composer import (
     Occurrence,
     TyAnno,
     Use,
+    DEFAULT_LIMIT,
     apply_node,
     check_rigidity,
     compose,
+    compose_with_failures,
     diagnose,
     parse_tree,
     parse_trees,
@@ -40,6 +42,7 @@ from polysem.kernel import (
 )
 from polysem.lexicon import builtin_signature, load_lexicon
 from random_terms import generate_corpus
+from test_reader import load_workloads
 from polysem.syntax import (
     App,
     Arrow,
@@ -52,6 +55,8 @@ from polysem.syntax import (
     canon_term,
     entity_sort,
     etype,
+    free_vars,
+    fresh_name,
     parse_term,
     parse_type,
     print_term,
@@ -938,3 +943,87 @@ def test_ground_domain_builds_one_lift_and_enumerates_nothing(lex, monkeypatch):
     # the polymorphic conjunction's domain still enumerates
     compose(parse_tree(BOOK_TREE), lex)
     assert enumerated
+
+
+# ---------------------------------------------------------------------------
+# chains built once: each fast path against the code it replaced
+
+
+def _lift_by_coerce_app(ty, new_dom, c, d):
+    """coercion._lift as it was: c x always by coerce_app, which rebuilds a λ c's body to rename x to x."""
+    x = fresh_name("x", {"f"}.union(*(free_vars(co) for co in (c, d) if co is not None)))
+    body = App(Var("f"), Var(x) if c is None else coercion.coerce_app(c, Var(x)))
+    return Lam("f", ty, Lam(x, new_dom, body if d is None else coercion.coerce_app(d, body)))
+
+
+def test_a_lift_reusing_its_path_body_is_the_lift_coerce_app_builds(monkeypatch):
+    built, lift = [], coercion._lift
+
+    def recording(*args):
+        built.append((args, lift(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(coercion, "_lift", recording)
+    onto_lex, trees = _tree_ontology(random.Random(80))
+    runs = [(onto_lex, tree) for tree in trees]
+    workloads = load_workloads()
+    for seed in (1, 2, 3):
+        w = workloads.make_workload("ontology", seed)
+        w_lex = load_lexicon(w.lexicon_text)
+        runs += [(w_lex, parse_tree(item.text)) for item in w.items]
+    for run_lex, tree in runs:
+        if not compose(tree, run_lex):
+            diagnose(tree, run_lex)
+    # a lift of predicates of predicates: its c is itself a lift, a λ binding f
+    for (ty, new_dom, _, _), _ in built[:20]:
+        assert coercion.find_coercion(onto_lex.coercions, Arrow(Arrow(new_dom, PROP), PROP), Arrow(ty, PROP))
+    reused = lifted = 0
+    for (ty, new_dom, c, d), out in built:
+        expected = _lift_by_coerce_app(ty, new_dom, c, d)
+        assert out == expected and (print_term(out), repr(out)) == (print_term(expected), repr(expected))
+        reused += d is None and isinstance(c, Lam) and out.body.body.arg is c.body
+        lifted += isinstance(c, Lam) and c.binder == "f"
+    assert reused > 400 and lifted == 20 and len(built) > reused + 2 * lifted  # and a constant c
+
+
+def _eager_keys(tree, lex, limit):
+    """compose_with_failures as it was, a de Bruijn key built for every normal
+    form; the number of normal forms it dropped as α-equal to an earlier one."""
+    search, analyses, seen, dropped = _Search(lex), [], set(), 0
+    for cand in search.candidates(tree):
+        ty = typecheck(cand.term, lex.signature)
+        nf = normalize(cand.term, lex.signature).term
+        if (key := canon_term(nf)) in seen:
+            dropped += 1
+            continue
+        seen.add(key)
+        analyses.append((cand.term, nf, ty, dict(cand.uses), cand.coercions))
+        if len(analyses) >= limit:
+            break
+    return analyses, () if analyses else tuple(search.failures), dropped
+
+
+def _shown(term, nf, ty, uses, coercions):
+    labels = {str(occ): tuple(u.label for u in occ_uses) for occ, occ_uses in uses.items()}
+    return (print_term(term), print_term(nf), print_type(ty), labels,
+            [(str(o), print_term(t)) for o, t in coercions])
+
+
+def test_keys_built_from_the_second_analysis_give_the_analyses_of_eager_keys(lex, fixture_dir):
+    oracle_lex, workloads = load_lexicon(ORACLE_LEXICON), load_workloads()
+    runs = [(lex, tree, DEFAULT_LIMIT) for tree in parse_trees((fixture_dir / "trees.txt").read_text())]
+    runs += [(oracle_lex, parse_tree(t), limit) for t in ORACLE_TREES for limit in (1, 2, 3, DEFAULT_LIMIT)]
+    for seed in (1, 2, 3):
+        w = workloads.make_workload("ambiguity", seed)
+        w_lex = load_lexicon(w.lexicon_text)
+        runs += [(w_lex, parse_tree(item.text), workloads.LIMIT) for item in w.items]
+    dropped = 0
+    for run_lex, tree, limit in runs:
+        analyses, report = compose_with_failures(tree, run_lex, limit)
+        expected, failures, skipped = _eager_keys(tree, run_lex, limit)
+        got = [_shown(a.term, a.normal_term, a.result_type, a.used_transfers, a.inserted_coercions)
+               for a in analyses]
+        assert got == [_shown(*e) for e in expected]
+        assert [(f.describe(), f.path) for f in report.failures] == [(f.describe(), f.path) for f in failures]
+        dropped += skipped
+    assert dropped > 0  # the duplicate-skip path fires

@@ -94,7 +94,7 @@ def _nodes(f) -> list:
     while todo:
         node = todo.pop()
         out.append(node)
-        for value in vars(node).values():
+        for value in (getattr(node, name) for name in node.__match_args__):
             for x in value if isinstance(value, tuple) else (value,):
                 if isinstance(x, (Formula, HolTerm)):
                     todo.append(x)

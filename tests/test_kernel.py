@@ -44,6 +44,7 @@ from polysem.syntax import (
     entity_sort,
     etype,
     fresh_name,
+    free_tyvars,
     free_tyvars_in_term,
     free_vars,
     parse_term,
@@ -235,6 +236,103 @@ def test_substitute_matches_reference_on_corpus(monkeypatch):
     assert any(var not in free_vars(body) for body, var, _ in seen)
     for body, var, arg in seen:
         _assert_substitutes_as_reference(body, var, arg)
+
+
+def _subst_by_full_walk(term, env, tyenv):
+    """kernel._subst as it was, walking every part while `env` is not empty."""
+    if not env and (not tyenv or free_tyvars_in_term(term).isdisjoint(tyenv)):
+        return term
+    go = _subst_by_full_walk
+    match term:
+        case App(fn, arg):
+            f, a = go(fn, env, tyenv), go(arg, env, tyenv)
+            return term if f is fn and a is arg else App(f, a)
+        case Var(name):
+            return env[name] if name in env else term
+        case Const():
+            return term
+        case Lam(binder, binder_type, body):
+            env = kernel._without(env, binder) if binder in env else env
+            ty, out = kernel._subst_types(binder_type, tyenv) if tyenv else binder_type, go(body, env, tyenv)
+            if out is body and ty is binder_type:
+                return term
+            if binder in (reach := kernel._reach(body, env, free_vars, free_vars)):
+                fresh = fresh_name(binder, reach.union(free_vars(body), env))
+                out, binder = go(go(body, {binder: Var(fresh)}, {}), env, tyenv), fresh
+            return Lam(binder, ty, out)
+        case TyLam(binder, body):
+            tyenv = kernel._without(tyenv, binder) if binder in tyenv else tyenv
+            if (out := go(body, env, tyenv)) is body:
+                return term
+            reach = kernel._reach(body, env, free_tyvars_in_term, free_vars)
+            if binder in (reach := reach | kernel._reach(body, tyenv, free_tyvars, free_tyvars_in_term)):
+                fresh = fresh_name(binder, reach.union(free_tyvars_in_term(body), tyenv))
+                out, binder = go(go(body, {}, {binder: TyVar(fresh)}), env, tyenv), fresh
+            return TyLam(binder, out)
+        case TyApp(fn, ty_arg):
+            f, ty = go(fn, env, tyenv), kernel._subst_types(ty_arg, tyenv) if tyenv else ty_arg
+            return term if f is fn and ty is ty_arg else TyApp(f, ty)
+    raise TypeError(f"not a Term: {term!r}")
+
+
+def _term_nodes(term):
+    out, todo = [], [term]
+    while todo:
+        out.append(x := todo.pop())
+        todo += [part for name in x.__match_args__ if isinstance(part := getattr(x, name), Term)]
+    return out
+
+
+def _top_substitutions(terms, sig, monkeypatch):
+    """(term, env, tyenv) of each outermost kernel._subst call that normalising `terms` makes."""
+    calls, subst, depth = [], kernel._subst, [0]
+
+    def recording(term, env, tyenv):
+        if not depth[0]:
+            calls.append((term, env, tyenv))
+        depth[0] += 1
+        try:
+            return subst(term, env, tyenv)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernel, "_subst", recording)
+    for strategy in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
+        for m in terms:
+            normalize(m, sig, strategy=strategy)
+    monkeypatch.undo()
+    return calls
+
+
+def test_subst_returns_a_part_whose_stored_free_variables_miss_env_as_the_full_walk_does(monkeypatch):
+    """With free_vars stored on every node, _subst builds what the full walk
+    builds, and wherever either result holds a node of the input, the other
+    holds that same object."""
+    base = register_finset(register_nat(builtin_signature()))
+    base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+    terms, gsig = generate_corpus(base, seed=4242, count=1000, use_inductives=True)
+    runs, rsig = generate_corpus(base, seed=4242, count=300, use_inductives=True, runs=True)
+    calls = _top_substitutions(terms, gsig, monkeypatch) + _top_substitutions(runs, rsig, monkeypatch)
+    skipped = 0
+    for term, env, tyenv in calls:
+        inputs = {}
+        for root in (term, *env.values()):
+            free_vars(root)  # stored on every node
+            inputs.update((id(x), x) for x in _term_nodes(root))
+        skipped += sum(bool(env) and x._fv.isdisjoint(env) for x in _term_nodes(term))
+        todo = [(kernel._subst(term, env, tyenv), _subst_by_full_walk(term, env, tyenv))]
+        while todo:
+            got, want = todo.pop()
+            if got is want:
+                continue
+            assert id(got) not in inputs and id(want) not in inputs and type(got) is type(want)
+            for name in got.__match_args__:
+                x, y = getattr(got, name), getattr(want, name)
+                if isinstance(x, Term):
+                    todo.append((x, y))
+                else:
+                    assert repr(x) == repr(y)
+    assert len(calls) > 10_000 and skipped > 30_000, (len(calls), skipped)  # 12,232 and 40,669
 
 
 def test_substitute_matches_reference_on_recursor_corpus(monkeypatch):

@@ -1,15 +1,18 @@
-"""The value classes: Sort and the Term/Type node classes of syntax.py, and
-the parse trees of composer.py.
+"""The value classes: Sort and the Term/Type node classes of syntax.py, the
+parse trees of composer.py, and the formula and HOL term nodes of hol.py.
 
 Every node class and Sort refuses assignment and deletion, matches by its
 fields in order, copies and pickles, and (but Sort, a tuple) can be weakly
 referenced.  On the seed-4242 random corpus and the seed-1 items of every
 workload, the reprs and prints, and the partition of the nodes into ==
 classes, have the digests they had when the node classes were frozen
-dataclasses.  ==, hash and repr of terms, types and trees hold at the
-reader's nesting limit.  Every builtin signature has its own copy of AND's
-definition and its own AND ∀, so the definition read at import remembers
-nothing under a lexicon's signature.
+dataclasses; so do the formulas' reprs and prints and their == partition,
+on the formulas of those items, of the generated and of the higher-order
+inputs of test_formula_facts.py.  ==, hash and repr of terms, types, trees
+and formulas hold at the reader's nesting limit, and formulas compare their
+types up to α.  Every builtin signature has its own copy of AND's definition
+and its own AND ∀, so the definition read at import remembers nothing under
+a lexicon's signature.
 """
 
 import copy
@@ -21,6 +24,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from polysem.composer import parse_tree, parse_trees
+from polysem.hol import SEXPR, Atom, Conn, ConstApp, Embed, HAbs, Hilbert, HTyAbs, HVar, Quant, print_formula
 from polysem.inductives import register_finset, register_nat
 from polysem.kernel import typed_apply
 from polysem.lexicon import AND_SIGNATURE, AND_TERM, AND_TYPE, builtin_signature, load_lexicon
@@ -50,18 +54,28 @@ from polysem.syntax import (
     print_type,
 )
 from random_terms import generate_corpus
+from test_formula_facts import INPUTS
 from test_reader import load_workloads
 
 FIELDS = {
     Base: ("sort",), TyVar: ("name",), Arrow: ("domain", "codomain"), Forall: ("binder", "body"),
     SetOf: ("elem",), Var: ("name",), Const: ("name", "declared_type"), Lam: ("binder", "binder_type", "body"),
     App: ("fn", "arg"), TyLam: ("binder", "body"), TyApp: ("fn", "ty_arg"), Sort: ("kind", "name"),
+    Atom: ("pred", "pred_type", "ty_args", "args"), Conn: ("conn", "args"), Quant: ("kind", "var", "sort_type", "body"),
+    HVar: ("name", "var_type"), ConstApp: ("const", "const_type", "ty_args", "args"),
+    Hilbert: ("kind", "var", "sort_type", "body"), HAbs: ("var", "var_type", "body"), HTyAbs: ("var", "body"),
+    Embed: ("formula",),
 }
 DOG = Base(entity_sort("dog"))
+BARKS = Atom("barks", Arrow(DOG, PROP), (), (HVar("x", DOG),))
 EXAMPLES = {
     Base: DOG, TyVar: TyVar("a"), Arrow: Arrow(DOG, PROP), Forall: Forall("a", TyVar("a")), SetOf: SetOf(DOG),
     Var: Var("x"), Const: Const("rex", DOG), Lam: Lam("x", DOG, Var("x")), App: App(Var("f"), Var("x")),
     TyLam: TyLam("a", Var("x")), TyApp: TyApp(Var("f"), DOG), Sort: entity_sort("dog"),
+    Atom: BARKS, Conn: Conn("not", (BARKS,)), Quant: Quant("forall", "x", DOG, BARKS), HVar: HVar("x", DOG),
+    ConstApp: ConstApp("same", Forall("a", Arrow(TyVar("a"), TyVar("a"))), (DOG,), (HVar("x", DOG),)),
+    Hilbert: Hilbert("epsilon", "x", DOG, BARKS), HAbs: HAbs("x", DOG, BARKS),
+    HTyAbs: HTyAbs("a", HVar("y", TyVar("a"))), Embed: Embed(BARKS),
 }
 
 # Taken with the node classes as frozen dataclasses and Sort as one: the nodes
@@ -118,11 +132,13 @@ def _walk(root):
 
 @pytest.fixture(scope="module")
 def pipeline():
-    """(roots, lexicons): the seed-4242 corpus, then per workload its lexicon's
-    entry terms and types and, over the items of seed 1, each parse tree,
-    analysis term, normal form, type and η-long reading, or each normal form."""
+    """(roots, lexicons, formulas): the seed-4242 corpus, then per workload its
+    lexicon's entry terms and types and, over the items of seed 1, each parse
+    tree, analysis term, normal form, type and η-long reading, or each normal
+    form; the formulas of those readings, then the generated and higher-order
+    formulas of test_formula_facts.py."""
     base = register_finset(register_nat(builtin_signature()))
-    roots, lexicons = list(generate_corpus(base, seed=4242, count=1000, use_inductives=True)[0]), []
+    roots, lexicons, formulas = list(generate_corpus(base, seed=4242, count=1000, use_inductives=True)[0]), [], []
     workloads = load_workloads()
     api = workloads.make_api()
     for name in workloads.WORKLOADS:
@@ -139,7 +155,8 @@ def pipeline():
             roots.append(parse_tree(item.text))
             roots += [x for a in out.analyses for x in (a.term, a.normal_term, a.result_type)]
             roots += [reading[0] for reading in out.readings]
-    return roots, lexicons
+            formulas += [reading[1] for reading in out.readings]
+    return roots, lexicons, formulas + INPUTS["generated"]() + INPUTS["higher-order"]()
 
 
 def test_reprs_prints_and_equality_classes_are_as_before(pipeline):
@@ -151,6 +168,35 @@ def test_reprs_prints_and_equality_classes_are_as_before(pipeline):
             partition.update(f"{classes.setdefault(x, len(classes))}\n".encode())
             count += 1
     assert (count, shown.hexdigest(), partition.hexdigest()) == DIGESTS
+
+
+# Taken with the formula classes as frozen dataclasses: the formula nodes met,
+# then the SHA-256 of the roots' reprs and prints and of the == partition.
+FORMULA_DIGESTS = (51_266, "c12a939797f224b943225e8878d7c604c3f2711ee768026c66d2bf1b1d59d287",
+                   "c7503c4b07f954e7b14882481c1056ea616fba8995c36d3dade3e7bd20373704")
+
+
+FORMULA_NODES = {Atom, Conn, Quant, HVar, ConstApp, Hilbert, HAbs, HTyAbs, Embed}
+
+
+def _formula_nodes(root):
+    """The formula and HOL term nodes of `root`, a shared part at each of its places."""
+    out, todo = [], [root]
+    while todo:
+        out.append(x := todo.pop())
+        for value in (getattr(x, name) for name in FIELDS[type(x)]):
+            todo += [v for v in (value if isinstance(value, tuple) else (value,)) if type(v) in FORMULA_NODES]
+    return out
+
+
+def test_formula_reprs_prints_and_equality_classes_are_as_before(pipeline):
+    shown, classes, partition, count = hashlib.sha256(), {}, hashlib.sha256(), 0
+    for root in pipeline[2]:
+        shown.update(f"{root!r}\t{print_formula(root, SEXPR)}\n".encode())
+        for x in _formula_nodes(root):
+            partition.update(f"{classes.setdefault(x, len(classes))}\n".encode())
+            count += 1
+    assert (count, shown.hexdigest(), partition.hexdigest()) == FORMULA_DIGESTS
 
 
 N, K = MAX_NESTING, MAX_NESTING - 1  # lists at the limit; K forms, each holding one more list
@@ -208,3 +254,43 @@ def test_the_and_definition_read_at_import_remembers_nothing_under_a_lexicon(pip
             memo = x.__dict__.get(fact)
             assert memo is None or memo[0] is AND_SIGNATURE, (x, fact)
         assert "_instances" not in x.__dict__ and "_foralls" not in x.__dict__, x
+
+
+NAT = Base(entity_sort("nat"))
+SUCC = "ConstApp(const='Succ', const_type=Arrow(Base(e:nat), Base(e:nat)), ty_args=(), args=("
+
+
+def _deep_numeral_formula(leaf):
+    """∀x:nat. even (Succ (… (leaf))), the Succ nested MAX_NESTING deep."""
+    term = ConstApp(leaf, NAT, (), ())
+    for _ in range(N):
+        term = ConstApp("Succ", Arrow(NAT, NAT), (), (term,))
+    return Quant("forall", "x", NAT, Atom("even", Arrow(NAT, PROP), (), (term,)))
+
+
+def _deep_connective_formula(leaf):
+    """barks leaf ∧ ∀x0:dog. (barks leaf ∧ ∀x1:dog. …), MAX_NESTING conjunctions deep."""
+    atom = Atom("barks", Arrow(DOG, PROP), (), (Embed(Atom(leaf, PROP, (), ())),))
+    formula = atom
+    for i in range(N):
+        formula = Conn("and", (atom, Quant("forall", f"x{i}", DOG, formula)))
+    return formula
+
+
+@pytest.mark.parametrize("build", [_deep_numeral_formula, _deep_connective_formula], ids=lambda f: f.__name__)
+def test_formula_value_methods_hold_at_the_nesting_limit(build):
+    one, same, other = build("a"), build("a"), build("b")
+    assert one == same and hash(one) == hash(same) and one != other and repr(one) != repr(other)
+    if build is _deep_numeral_formula:
+        assert repr(one) == ("Quant(kind='forall', var='x', sort_type=Base(e:nat), body=Atom(pred='even', "
+                             "pred_type=Arrow(Base(e:nat), Base(t)), ty_args=(), args=(" + SUCC * N
+                             + "ConstApp(const='a', const_type=Base(e:nat), ty_args=(), args=())"
+                             + ",))" * N + ",)))")
+
+
+def test_formulas_compare_their_types_up_to_alpha():
+    one, other = (HAbs("p", Forall(v, Arrow(TyVar(v), PROP)), BARKS) for v in ("a", "b"))
+    assert one == other and hash(one) == hash(other) and repr(one) != repr(other)
+    assert one != HAbs("p", Forall("a", Arrow(DOG, PROP)), BARKS)
+    poly = [ConstApp("same", Forall("a", Arrow(TyVar("a"), TyVar("a"))), (Forall(v, TyVar(v)),), ()) for v in "ab"]
+    assert poly[0] == poly[1] and hash(poly[0]) == hash(poly[1])

@@ -90,7 +90,7 @@ def _typed_nodes(roots, sig, seen):
         seen[id(x)] = x  # kept alive, so that no later node takes its id
         if getattr(x, "_type_memo", (None,))[0] is sig:
             out.append(x)
-        todo += [c for c in vars(x).values() if isinstance(c, (App, Lam, TyApp, TyLam))]
+        todo += [c for name in x.__match_args__ if isinstance(c := getattr(x, name), (App, Lam, TyApp, TyLam))]
     return out
 
 
