@@ -36,6 +36,7 @@ from .kernel import (
 )
 from .lexicon import lexicon_problems, load_lexicon
 from .syntax import (
+    MAX_NESTING,
     App,
     Arrow,
     Base,
@@ -308,13 +309,13 @@ def cmd_search_false(args) -> int:
 # Argument parsing
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, most: Optional[int] = None) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value < 1 or most and value > most:
+        raise argparse.ArgumentTypeError(f"expected a positive integer{most and f' up to {most}' or ''}, got {text!r}")
     return value
 
 
@@ -357,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sf_p = sub.add_parser("search-false", help="search for constant-free inhabitants")
     sf_p.add_argument("type")
-    sf_p.add_argument("--max-size", type=_positive_int, default=9)
+    # the search recurses along each term: up to MAX_NESTING nodes it has room
+    sf_p.add_argument("--max-size", type=lambda text: _positive_int(text, MAX_NESTING), default=9)
     sf_p.add_argument("--json", action="store_true")
     sf_p.set_defaults(run=cmd_search_false)
 

@@ -41,9 +41,7 @@ from .syntax import (
     Forall,
     Lam,
     MAX_NESTING,
-    Refused,
     SPACE,
-    SexprNode,
     Term,
     TyVar,
     Type,
@@ -52,11 +50,11 @@ from .syntax import (
     canon_term,
     check_wf_type,
     free_tyvars,
+    form_error,
     fresh_name,
-    one_pass,
-    parse_sexpr,
     print_type,
-    type_from_sexpr,
+    read_text,
+    refuse,
     type_from_tokens,
 )
 
@@ -96,54 +94,39 @@ class TyAnno(Value):
 ParseTree = Union[Leaf, Node, TyAnno]
 
 
-def _tree_from_sexpr(node: SexprNode) -> ParseTree:
-    if node.items is None or not node.items or node.items[0].atom is None:
-        raise ParseError("expected (LEAF word) | (NODE fn arg) | (TY tree TYPE...)",
-                         node.line, node.col)
-    head = node.items[0].atom
-    if head == "LEAF":
-        if len(node.items) != 2 or node.items[1].atom is None:
-            raise ParseError("(LEAF word) expected", node.line, node.col)
-        return Leaf(node.items[1].atom)
-    if head == "NODE":
-        if len(node.items) != 3:
-            raise ParseError("(NODE fnTree argTree) expected", node.line, node.col)
-        return Node(_tree_from_sexpr(node.items[1]), _tree_from_sexpr(node.items[2]))
-    if head == "TY":
-        if len(node.items) < 3:
-            raise ParseError("(TY tree TYPE...) expected", node.line, node.col)
-        sub = _tree_from_sexpr(node.items[1])
-        tys = tuple(type_from_sexpr(item, None) for item in node.items[2:])
-        return TyAnno(sub, tys)
-    raise ParseError(f"unknown tree form {head!r}", node.line, node.col)
+_TREE_FORMS = {"LEAF": "(LEAF word) expected", "NODE": "(NODE fnTree argTree) expected",
+               "TY": "(TY tree TYPE...) expected", None: "unknown tree form {!r}",
+               "(": "expected (LEAF word) | (NODE fn arg) | (TY tree TYPE...)"}
 
 
 def _tree_from_tokens(tok: str, nxt, depth: int) -> ParseTree:
-    """The one-pass reader of a tree (syntax.one_pass)."""
+    """The token walker of a tree (syntax.read_text)."""
     if tok != "(" or depth == MAX_NESTING:
-        raise Refused
+        raise refuse(tok, _TREE_FORMS["("])
     head, depth = nxt(), depth + 1
-    if head == "LEAF" and (word := nxt()) not in "()":
-        tree = Leaf(word)
-    elif head == "NODE":
-        tree = Node(_tree_from_tokens(nxt(), nxt, depth), _tree_from_tokens(nxt(), nxt, depth))
-    elif head == "TY":
-        sub, tys = _tree_from_tokens(nxt(), nxt, depth), []
-        while (tok := nxt()) != ")":
-            tys.append(type_from_tokens(tok, nxt, depth, None))
-        if not tys:
-            raise Refused
-        return TyAnno(sub, tuple(tys))
-    else:
-        raise Refused
-    if nxt() != ")":
-        raise Refused
-    return tree
+    try:
+        if head == "LEAF" and (word := nxt()) not in "()":
+            tree = Leaf(word)
+        elif head == "NODE":
+            tree = Node(_tree_from_tokens(nxt(), nxt, depth), _tree_from_tokens(nxt(), nxt, depth))
+        elif head == "TY":
+            sub, tys = _tree_from_tokens(nxt(), nxt, depth), []
+            while (t := nxt()) != ")":
+                tys.append(type_from_tokens(t, nxt, depth, None))
+            if tys:
+                return TyAnno(sub, tuple(tys))
+            raise form_error(tok, head, _TREE_FORMS)
+        else:
+            raise form_error(tok, head, _TREE_FORMS)
+        if nxt() == ")":
+            return tree
+    except ParseError as e:  # located: a part's error stands if this list has its form's items
+        raise e if (tok.n >= 3 if head == "TY" else tok.n == 3) else form_error(tok, head, _TREE_FORMS)
+    raise form_error(tok, head, _TREE_FORMS)
 
 
 def parse_tree(text: str) -> ParseTree:
-    tree = one_pass(text, _tree_from_tokens)
-    return _tree_from_sexpr(parse_sexpr(text)) if tree is None else tree
+    return read_text(text, _tree_from_tokens)
 
 
 def parse_trees(text: str) -> list[ParseTree]:

@@ -8,7 +8,8 @@ quantifier or a predicate.  A spine of another type may be a bare variable,
 a Hilbert choice term or a function constant applied to its arguments.  A
 variable-headed spine applied to arguments, such as a predicate variable
 bound by a quantifier over (-> e:dog t), has no formula yet and is refused
-with UnexpectedHead; a lexicon entry can produce one.
+with UnexpectedHead; a lexicon entry can produce one.  parse_formula reads
+the s-expression style back with one token walker (syntax.read_text).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .syntax import (
     Const,
     Forall,
     Lam,
+    MAX_NESTING,
     SetOf,
-    SexprNode,
     Signature,
     Sort,
     Term,
@@ -53,10 +54,12 @@ from .syntax import (
     Var,
     apps,
     free_vars,
+    form_error,
     node_class,
-    parse_sexpr,
     print_type,
-    type_from_sexpr,
+    read_text,
+    refuse,
+    type_from_tokens,
 )
 
 AND, NOT, IMPLIES = "and", "not", "implies"
@@ -377,10 +380,10 @@ def _print_sexpr(f) -> str:
         return out
     match f:
         case Atom(pred, _, ty_args, args) | ConstApp(pred, _, ty_args, args):
-            parts = [pred] + [print_type(t) for t in ty_args] + [_print_sexpr(a) for a in args]
+            parts = [pred, *map(print_type, ty_args), *map(_print_sexpr, args)]  # one frame a level
             out = parts[0] if len(parts) == 1 else "(" + " ".join(parts) + ")"
         case Conn(conn, args):
-            out = "(" + " ".join([conn] + [_print_sexpr(a) for a in args]) + ")"
+            out = "(" + " ".join([conn, *map(_print_sexpr, args)]) + ")"
         case Quant(kind, var, sort_type, body) | Hilbert(kind, var, sort_type, body):
             tag = "eps" if kind == EPSILON else kind
             out = f"({tag} ({var} {print_type(sort_type)}) {_print_sexpr(body)})"
@@ -437,87 +440,69 @@ def _print_unicode(f, top: bool = False) -> str:
 # The formula reader (sexpr style round-trips through it)
 
 
-_BINDER_TAGS = {"forall": FORALL, "exists": EXISTS, "eps": EPSILON, "tau": TAU}
+_BINDER_TAGS = {"forall": FORALL, "exists": EXISTS, "eps": EPSILON, "tau": TAU, "lam": None}
+_FORMULA_FORMS = {"and": "({} F F) expected", "implies": "({} F F) expected", "not": "(not F) expected",
+                  **dict.fromkeys(_BINDER_TAGS, "({} (x TYPE) F) expected"), "tlam": "(tlam v F) expected",
+                  "(": "expected a formula form", None: "unknown predicate or function {!r}"}
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    node = parse_sexpr(text)
-    out = _formula_from_sexpr(node, sig, {})
+    out = read_text(text, _formula_from_tokens, sig, {})
     if not isinstance(out, Formula):
         raise ParseError("expected a formula, read a term")
     return out
 
 
-def _formula_from_sexpr(node: SexprNode, sig: Signature, env: dict[str, Type]):
-    if node.atom is not None:
-        name = node.atom
-        if name in env:
-            return HVar(name, env[name])
-        if sig.has_constant(name):
-            ty = sig.constant_type(name)
-            if ty == PROP:
-                return Atom(name, ty, (), ())
-            return ConstApp(name, ty, (), ())
-        raise ParseError(f"unknown identifier {name!r}", node.line, node.col)
-    items = node.items
-    if not items or items[0].atom is None:
-        raise ParseError("expected a formula form", node.line, node.col)
-    head = items[0].atom
-    if head in ("and", "implies"):
-        if len(items) != 3:
-            raise ParseError(f"({head} F F) expected", node.line, node.col)
-        return Conn(head, (_as_formula(items[1], _formula_from_sexpr(items[1], sig, env)),
-                           _as_formula(items[2], _formula_from_sexpr(items[2], sig, env))))
-    if head == "not":
-        if len(items) != 2:
-            raise ParseError("(not F) expected", node.line, node.col)
-        return Conn("not", (_as_formula(items[1], _formula_from_sexpr(items[1], sig, env)),))
-    if head in _BINDER_TAGS or head == "lam":
-        if (len(items) != 3 or items[1].items is None or len(items[1].items) != 2
-                or items[1].items[0].atom is None):
-            raise ParseError(f"({head} (x TYPE) F) expected", node.line, node.col)
-        var = items[1].items[0].atom
-        var_type = type_from_sexpr(items[1].items[1], None)
-        inner = dict(env)
-        inner[var] = var_type
-        if head == "lam":
-            return HAbs(var, var_type, _formula_from_sexpr(items[2], sig, inner))
-        body = _as_formula(items[2], _formula_from_sexpr(items[2], sig, inner))
-        kind = _BINDER_TAGS[head]
-        if kind in (FORALL, EXISTS):
-            return Quant(kind, var, var_type, body)
-        return Hilbert(kind, var, var_type, body)
-    if head == "tlam":
-        if len(items) != 3 or items[1].atom is None:
-            raise ParseError("(tlam v F) expected", node.line, node.col)
-        return HTyAbs(items[1].atom, _formula_from_sexpr(items[2], sig, env))
-    # an application headed by a constant: predicate atom or function term
-    if not sig.has_constant(head):
-        raise ParseError(f"unknown predicate or function {head!r}", node.line, node.col)
-    declared = sig.constant_type(head)
-    ty_args: list[Type] = []
-    cur = declared
-    rest = items[1:]
-    i = 0
-    while isinstance(cur, Forall) and i < len(rest):
-        t = type_from_sexpr(rest[i], None)
-        ty_args.append(t)
-        cur = subst_type(cur.body, cur.binder, t)
-        i += 1
-    args = []
-    for item in rest[i:]:
-        if not isinstance(cur, Arrow):
-            raise ParseError(f"too many arguments to {head}", node.line, node.col)
-        args.append(_formula_from_sexpr(item, sig, env))
-        cur = cur.codomain
-    if cur == PROP:
-        return Atom(head, declared, tuple(ty_args), tuple(args))
-    return ConstApp(head, declared, tuple(ty_args), tuple(args))
+def _formula_from_tokens(tok: str, nxt, depth: int, sig: Signature, env: dict[str, Type]):
+    """The token walker of a formula or HOL term (syntax.read_text)."""
+    if tok == "(" and depth < MAX_NESTING:
+        head, depth = nxt(), depth + 1
+        try:
+            if head == "and" or head == "implies" or head == "not":
+                args = (_formula_at(t := nxt(), _formula_from_tokens(t, nxt, depth, sig, env)),)
+                if head != "not":
+                    args += (_formula_at(t := nxt(), _formula_from_tokens(t, nxt, depth, sig, env)),)
+                f = Conn(head, args)
+            elif head in _BINDER_TAGS and (pair := nxt()) == "(" and depth < MAX_NESTING and (var := nxt()) not in "()":
+                var_type = type_from_tokens(nxt(), nxt, depth + 1, None)
+                if nxt() != ")":
+                    raise form_error(tok, head, _FORMULA_FORMS)
+                body = _formula_from_tokens(t := nxt(), nxt, depth, sig, {**env, var: var_type})
+                f = HAbs(var, var_type, body) if head == "lam" else (Quant if head in (FORALL, EXISTS) else Hilbert)(
+                    _BINDER_TAGS[head], var, var_type, _formula_at(t, body))
+            elif head == "tlam" and (var := nxt()) not in "()":
+                f = HTyAbs(var, _formula_from_tokens(nxt(), nxt, depth, sig, env))
+            elif head not in _FORMULA_FORMS and head not in "()" and head in sig.constants:  # atom or function term
+                declared = cur = sig.constants[head]
+                ty_args, args = [], []
+                while (t := nxt()) != ")":
+                    if isinstance(cur, Forall) and not args:
+                        ty_args.append(type_from_tokens(t, nxt, depth, None))
+                        cur = subst_type(cur.body, cur.binder, ty_args[-1])
+                    elif isinstance(cur, Arrow):
+                        args.append(_formula_from_tokens(t, nxt, depth, sig, env))
+                        cur = cur.codomain
+                    else:
+                        raise refuse(tok, f"too many arguments to {head}")
+                return (Atom if cur == PROP else ConstApp)(head, declared, tuple(ty_args), tuple(args))
+            else:
+                raise form_error(tok, head, _FORMULA_FORMS)
+            if nxt() == ")":
+                return f
+        except ParseError as e:  # located: a part's error stands if this list has its form's items
+            raise e if head not in _FORMULA_FORMS or tok.n == (2 if head == "not" else 3) and (
+                head not in _BINDER_TAGS or pair.n == 2) else form_error(tok, head, _FORMULA_FORMS)
+        raise form_error(tok, head, _FORMULA_FORMS)
+    elif tok in env:
+        return HVar(tok, env[tok])
+    elif tok in sig.constants and tok not in "()":
+        ty = sig.constants[tok]
+        return (Atom if ty == PROP else ConstApp)(tok, ty, (), ())
+    raise refuse(tok, f"unknown identifier {tok!r}")  # at a parenthesis, its list's check fails
 
 
-def _as_formula(node: SexprNode, out) -> Formula:
-    """`out`, read from `node`, checked to be a formula: checked after the
-    read, so that each level of nesting takes one Python frame."""
-    if not isinstance(out, Formula):
-        raise ParseError("expected a formula", node.line, node.col)
-    return out
+def _formula_at(tok: str, out) -> Formula:
+    """`out`, read at `tok`, checked to be a formula after the read: a level of nesting takes one frame."""
+    if isinstance(out, Formula):
+        return out
+    raise refuse(tok, "expected a formula")

@@ -19,7 +19,6 @@ from .errors import SortClash
 from .syntax import (
     App,
     Arrow,
-    Base,
     Const,
     Forall,
     SetOf,
@@ -29,12 +28,12 @@ from .syntax import (
     TyVar,
     Type,
     apps,
-    entity_sort,
+    etype,
     spine,
 )
 
-NAT_SORT = entity_sort("nat")
-NAT = Base(NAT_SORT)
+NAT = etype("nat")
+NAT_SORT = NAT.sort
 
 ZERO = "Zero"
 SUCC = "Succ"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coercion import BaseCoercion, CoercionGraph, check_coherence
+from .coercion import BaseCoercion, CoercionGraph, check_coherence, coercion_targets
 from .errors import (
     DuplicateWord,
     IncoherentCoercions,
@@ -309,6 +309,7 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             continue
         entries[word] = LexEntry(word, term, ty)
 
+    added: list[tuple[int, str, str, Type]] = []
     for lineno, word, label, rigidity, term_txt, col in transfer_lines:
         if word not in entries:
             fail(LexiconError(f"line {lineno}: word-transfer for undeclared word {word!r}"))
@@ -324,6 +325,16 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
             continue
         entries[word] = LexEntry(word, entry.main_term, entry.ty,
                                  entry.transfers + (TransferTerm(label, term, rigidity, ty),))
+        added.append((lineno, word, label, ty))
+
+    # a transfer fires on its word's reading, a coercion of it or another transfer's result (no ∀: TY instantiates it)
+    for lineno, word, label, ty in added:
+        entry = entries[word]
+        met = [entry.ty, *(t for _, t in coercion_targets(graph, entry.ty)),
+               *(tr.ty.codomain for tr in entry.transfers if isinstance(tr.ty, Arrow))]
+        if isinstance(ty, Arrow) and not isinstance(entry.ty, Forall) and ty.domain not in met:
+            fail(LexiconError(f"line {lineno}: word-transfer {label!r} can never fire: "
+                              f"no reading of {word!r} has type {print_type(ty.domain)}"))
 
     return Lexicon(signature=sig, coercions=graph, entries=entries), problems
 

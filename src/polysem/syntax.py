@@ -16,9 +16,10 @@ finite-set extension.
 
 Space, tab, CR and LF separate tokens, `(` and `)` are tokens of their own,
 and every other run of characters (form feed, non-ASCII) is an atom; `#`
-comments exist only in lexicon and tree files.  A malformed text raises
-ParseError (`LINE:COL: message`), and so does one nesting over MAX_NESTING.
-"""
+comments exist only in lexicon and tree files.  Each grammar has one token
+walker, which walks a text it refuses again with positions (read_text): a
+malformed text raises ParseError (`LINE:COL: message`), and so does one
+nesting over MAX_NESTING."""
 
 from __future__ import annotations
 
@@ -529,213 +530,154 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# S-expression reader
+# The reader.  In a located walk a part's error waits for the check of each list around it, and a list
+# that fails its own check raises its error instead, so the first error top-down is raised.
 
 MAX_NESTING = 900  # lists open at once; leaves the recursive walks room under Python's default limit
 
 SPACE = " \t\r\n"  # the reader's whitespace; line-oriented files break lines at "\n" alone
 ATOM = re.compile(f"[^(){SPACE}]+")
 _TOKEN = re.compile(f"\n|[()]|{ATOM.pattern}")
-
-
-class SexprNode:
-    """An atom (`items` is None) or a list (`atom` is None), at 1-based line and column."""
-
-    __slots__ = ("items", "atom", "line", "col")
-
-    def __init__(self, items, atom, line, col):
-        self.items, self.atom, self.line, self.col = items, atom, line, col
-
-
-def parse_sexpr(text: str) -> SexprNode:
-    """Read exactly one s-expression: one loop over the tokens, with an
-    explicit stack of the lists still open."""
-    stack: list[SexprNode] = []
-    root = None
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok == "\n":
-            line += 1
-            line_start = m.end()
-            continue
-        col = m.start() - line_start + 1
-        if root is not None:
-            raise ParseError(f"trailing input {tok!r}", line, col)
-        if tok == "(":
-            if len(stack) == MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}", line, col)
-            stack.append(SexprNode([], None, line, col))
-            continue
-        if tok == ")":
-            if not stack:
-                raise ParseError("unexpected ')'", line, col)
-            node = stack.pop()
-        else:
-            node = SexprNode(None, tok, line, col)
-        if stack:
-            stack[-1].items.append(node)
-        else:
-            root = node
-    if stack:
-        raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
-    if root is None:
-        raise ParseError("empty input")
-    return root
-
-
-# ---------------------------------------------------------------------------
-# Type and term parsing
-
 _FAST_TOKEN = re.compile(f"[()]|{ATOM.pattern}")
 
 
-class Refused(Exception):
-    """A one-pass reader's refusal of its text."""
+class Token(str):
+    """A token at its 1-based `line` and `col`; a '(' also holds `n`, the number of items of its list."""
+
+    n = 0
 
 
-def one_pass(text: str, read, *context):
-    """What `read(tok, nxt, depth, *context)` builds from the whole of `text`; None where it refuses.
-    A reader builds the node starting at token `tok`, taking later tokens from `nxt`, inside `depth`
-    lists.  It makes its grammar walker's checks but keeps no line or column: where one fails, or
-    lists nest deeper than MAX_NESTING, it raises Refused, and the walker reads the text for the error."""
+def located_tokens(text: str) -> list[Token]:
+    """The tokens of `text` with their places.  Raises ParseError for trailing input, nesting deeper than
+    MAX_NESTING or an unexpected ')', met left to right, then for an unclosed '(' or empty input."""
+    tokens, stack, line, line_start = [], [], 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = Token(m.group())
+        if tok == "\n":
+            line, line_start = line + 1, m.end()
+            continue
+        tok.line, tok.col = line, m.start() - line_start + 1
+        if tokens and not stack:
+            raise ParseError(f"trailing input {tok!r}", tok.line, tok.col)
+        if stack and tok != ")":
+            stack[-1].n += 1
+        if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.line, tok.col)
+            stack.append(tok)
+        elif tok == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", tok.line, tok.col)
+            stack.pop()
+        tokens.append(tok)
+    if stack:
+        raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
+    if not tokens:
+        raise ParseError("empty input")
+    return tokens
+
+
+def refuse(tok: str, message: str, cls=ParseError) -> Exception:
+    """The error of a check failing at `tok`: `cls(message)` if located, else StopIteration, as at the end."""
+    return cls(message, tok.line, tok.col) if type(tok) is Token else StopIteration()
+
+
+def form_error(tok: str, head: str, messages: dict) -> Exception:
+    """The error of list `tok`, headed by `head`, that fails its form's check.  `messages` maps each
+    form's head to its message, "(" to that of a list with no head atom, None to an unknown head's."""
+    return refuse(tok, messages.get("(" if head in "()" else head, messages[None]).format(head))
+
+
+def read_text(text: str, read, *context):
+    """What the walker `read(tok, nxt, depth, *context)`, which builds the node starting at token `tok` from
+    later tokens `nxt()` inside `depth` lists, builds from all of `text`: from its bare tokens, or where a
+    check fails there (refuse), from its located tokens, where the check raises its ParseError."""
     tokens = iter(_FAST_TOKEN.findall(text))
     try:
         node = read(next(tokens), tokens.__next__, 0, *context)
-    except (Refused, StopIteration):
-        return None
-    return node if next(tokens, None) is None else None
+        if next(tokens, None) is None:
+            return node
+    except StopIteration:
+        pass
+    tokens = iter(located_tokens(text))
+    return read(next(tokens), tokens.__next__, 0, *context)
+
+
+_TYPE_FORMS = {"->": "(-> T T) takes exactly two types", "all": "(all v T) takes a variable and a type",
+               "set": "(set T) takes exactly one type", "(": "expected a type form", None: "unknown type form {!r}"}
 
 
 def type_from_tokens(tok: str, nxt, depth: int, sorts) -> Type:
     if tok == "(" and depth < MAX_NESTING:
         head, depth = nxt(), depth + 1
-        if head == "->":
-            ty = Arrow(type_from_tokens(nxt(), nxt, depth, sorts), type_from_tokens(nxt(), nxt, depth, sorts))
-        elif head == "all" and (binder := nxt()) not in "()":
-            ty = Forall(binder, type_from_tokens(nxt(), nxt, depth, sorts))
-        elif head == "set":
-            ty = SetOf(type_from_tokens(nxt(), nxt, depth, sorts))
-        else:
-            raise Refused
-        if nxt() == ")":
-            return ty
+        try:
+            if head == "->":
+                ty = Arrow(type_from_tokens(nxt(), nxt, depth, sorts), type_from_tokens(nxt(), nxt, depth, sorts))
+            elif head == "all" and (binder := nxt()) not in "()":
+                ty = Forall(binder, type_from_tokens(nxt(), nxt, depth, sorts))
+            elif head == "set":
+                ty = SetOf(type_from_tokens(nxt(), nxt, depth, sorts))
+            else:
+                raise form_error(tok, head, _TYPE_FORMS)
+            if nxt() == ")":
+                return ty
+        except ParseError as e:  # located: a part's error stands if this list has its form's items
+            raise e if tok.n == (2 if head == "set" else 3) else form_error(tok, head, _TYPE_FORMS)
+        raise form_error(tok, head, _TYPE_FORMS)
     elif tok == "t":
         return PROP
     elif tok.startswith("e:"):
         sort = len(tok) > 2 and entity_sort(tok[2:])
         if sort and (sorts is None or sort in sorts):
             return Base(sort)
+        raise refuse(tok, f"undeclared sort {tok}", UnknownSort) if sort else refuse(tok, "empty entity sort name")
     elif tok not in "()":
         return TyVar(tok)
-    raise Refused
-
-
-def type_from_sexpr(node: SexprNode, known_sorts) -> Type:
-    if node.atom is not None:
-        a = node.atom
-        if a == "t":
-            return PROP
-        if a.startswith("e:"):
-            name = a[2:]
-            if not name:
-                raise ParseError("empty entity sort name", node.line, node.col)
-            if known_sorts is not None and entity_sort(name) not in known_sorts:
-                raise UnknownSort(f"undeclared sort e:{name}", node.line, node.col)
-            return etype(name)
-        return TyVar(a)
-    items = node.items
-    if not items or items[0].atom is None:
-        raise ParseError("expected a type form", node.line, node.col)
-    head = items[0].atom
-    if head == "->":
-        if len(items) != 3:
-            raise ParseError("(-> T T) takes exactly two types", node.line, node.col)
-        return Arrow(type_from_sexpr(items[1], known_sorts), type_from_sexpr(items[2], known_sorts))
-    if head == "all":
-        if len(items) != 3 or items[1].atom is None:
-            raise ParseError("(all v T) takes a variable and a type", node.line, node.col)
-        return Forall(items[1].atom, type_from_sexpr(items[2], known_sorts))
-    if head == "set":
-        if len(items) != 2:
-            raise ParseError("(set T) takes exactly one type", node.line, node.col)
-        return SetOf(type_from_sexpr(items[1], known_sorts))
-    raise ParseError(f"unknown type form {head!r}", node.line, node.col)
+    raise refuse(tok, "expected a type")  # where a list lacks an item: its own check fails
 
 
 def parse_type(text: str, known_sorts=None) -> Type:
     """Parse a type.  When `known_sorts` (a collection of Sort) is given,
     undeclared entity sorts raise UnknownSort."""
-    ty = one_pass(text, type_from_tokens, known_sorts)
-    return type_from_sexpr(parse_sexpr(text), known_sorts) if ty is None else ty
+    return read_text(text, type_from_tokens, known_sorts)
 
 
-def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], allow_free: bool,
-                     consts: dict[str, Const]) -> Term:
-    if node.atom is not None:
-        name = node.atom
-        if name in bound:
-            return Var(name)
-        if sig.has_constant(name):
-            return consts.setdefault(name, Const(name, sig.constants[name]))
-        if allow_free:
-            return Var(name)
-        raise UnknownConstant(f"unknown constant {name!r}", node.line, node.col)
-    items = node.items
-    if not items or items[0].atom is None:
-        raise ParseError("expected a term form", node.line, node.col)
-    head = items[0].atom
-    if head == "lam":
-        if (len(items) != 3 or items[1].items is None or len(items[1].items) != 2
-                or items[1].items[0].atom is None):
-            raise ParseError("(lam (v T) M) expected", node.line, node.col)
-        binder = items[1].items[0].atom
-        return Lam(binder, type_from_sexpr(items[1].items[1], None),
-                   _term_from_sexpr(items[2], sig, bound | {binder}, allow_free, consts))
-    if head == "app":
-        if len(items) != 3:
-            raise ParseError("(app M N) is strictly binary", node.line, node.col)
-        return App(_term_from_sexpr(items[1], sig, bound, allow_free, consts),
-                   _term_from_sexpr(items[2], sig, bound, allow_free, consts))
-    if head == "tlam":
-        if len(items) != 3 or items[1].atom is None:
-            raise ParseError("(tlam v M) expected", node.line, node.col)
-        return TyLam(items[1].atom, _term_from_sexpr(items[2], sig, bound, allow_free, consts))
-    if head == "tapp":
-        if len(items) != 3:
-            raise ParseError("(tapp M T) expected", node.line, node.col)
-        return TyApp(_term_from_sexpr(items[1], sig, bound, allow_free, consts), type_from_sexpr(items[2], None))
-    raise ParseError(f"unknown term form {head!r}", node.line, node.col)
+_TERM_FORMS = {"lam": "(lam (v T) M) expected", "app": "(app M N) is strictly binary", "tlam": "(tlam v M) expected",
+               "tapp": "(tapp M T) expected", "(": "expected a term form", None: "unknown term form {!r}"}
 
 
 def term_from_tokens(tok: str, nxt, depth: int, sig: Signature, bound: frozenset[str], allow_free: bool,
                      consts: dict[str, Const]) -> Term:
     if tok == "(" and depth < MAX_NESTING:
         head, depth = nxt(), depth + 1
-        if head == "app":
-            term = App(term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts),
-                       term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts))
-        elif head == "lam" and depth < MAX_NESTING and nxt() == "(" and (binder := nxt()) not in "()":
-            ty = type_from_tokens(nxt(), nxt, depth + 1, None)
-            if nxt() != ")":
-                raise Refused
-            term = Lam(binder, ty, term_from_tokens(nxt(), nxt, depth, sig, bound | {binder}, allow_free, consts))
-        elif head == "tlam" and (binder := nxt()) not in "()":
-            term = TyLam(binder, term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts))
-        elif head == "tapp":
-            term = TyApp(term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts),
-                         type_from_tokens(nxt(), nxt, depth, None))
-        else:
-            raise Refused
-        if nxt() == ")":
-            return term
+        try:
+            if head == "app":
+                term = App(term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts),
+                           term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts))
+            elif head == "lam" and (pair := nxt()) == "(" and depth < MAX_NESTING and (binder := nxt()) not in "()":
+                ty = type_from_tokens(nxt(), nxt, depth + 1, None)
+                if nxt() != ")":
+                    raise form_error(tok, head, _TERM_FORMS)
+                term = Lam(binder, ty, term_from_tokens(nxt(), nxt, depth, sig, bound | {binder}, allow_free, consts))
+            elif head == "tlam" and (binder := nxt()) not in "()":
+                term = TyLam(binder, term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts))
+            elif head == "tapp":
+                term = TyApp(term_from_tokens(nxt(), nxt, depth, sig, bound, allow_free, consts),
+                             type_from_tokens(nxt(), nxt, depth, None))
+            else:
+                raise form_error(tok, head, _TERM_FORMS)
+            if nxt() == ")":
+                return term
+        except ParseError as e:  # located: a part's error stands if this list has its form's items
+            raise e if tok.n == 3 and (head != "lam" or pair.n == 2) else form_error(tok, head, _TERM_FORMS)
+        raise form_error(tok, head, _TERM_FORMS)
     elif tok in bound:  # no binder is a parenthesis
         return Var(tok)
     elif (const := consts.get(tok)) is not None or tok in sig.constants and tok not in "()":
         return const or consts.setdefault(tok, Const(tok, sig.constants[tok]))
     elif allow_free and tok not in "()":
         return Var(tok)
-    raise Refused
+    raise refuse(tok, f"unknown constant {tok!r}", UnknownConstant)  # at a parenthesis, its list's check fails
 
 
 def parse_term(text: str, sig: Signature, allow_free: bool = True) -> Term:
@@ -745,9 +687,7 @@ def parse_term(text: str, sig: Signature, allow_free: bool = True) -> Term:
     Every occurrence of one constant in the text is one Const node, and the
     term remembers the names of its constants."""
     consts: dict[str, Const] = {}
-    term = one_pass(text, term_from_tokens, sig, frozenset(), allow_free, consts)
-    if term is None:
-        term = _term_from_sexpr(parse_sexpr(text), sig, frozenset(), allow_free, consts)
+    term = read_text(text, term_from_tokens, sig, frozenset(), allow_free, consts)
     object.__setattr__(term, "_consts", frozenset(consts))
     return term
 

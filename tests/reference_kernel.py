@@ -12,16 +12,14 @@ from polysem.syntax import (
     App,
     Const,
     Lam,
-    SexprNode,
     Signature,
     Term,
     TyApp,
     TyLam,
     Var,
     apps,
-    parse_sexpr,
-    type_from_sexpr,
 )
+from reference_reader import SexprNode, parse_sexpr, type_from_sexpr
 
 
 def _term_from_sexpr(node: SexprNode, sig: Signature, bound: frozenset[str], allow_free: bool) -> Term:

@@ -5,11 +5,11 @@ import pathlib
 
 import pytest
 
-from polysem import composer, kernel
+from polysem import cli, composer, kernel
 from polysem.cli import main, search_false
 from polysem.kernel import typecheck
 from polysem.lexicon import builtin_signature
-from polysem.syntax import alpha_eq, parse_term, parse_type
+from polysem.syntax import MAX_NESTING, alpha_eq, parse_term, parse_type
 
 
 @pytest.fixture
@@ -334,6 +334,30 @@ def test_search_false_finds_nothing_for_false(capsys):
 def test_search_false_rejects_non_positive_size(capsys, size):
     assert main(["search-false", "(all a a)", "--max-size", size]) == 2
     assert "--max-size: expected a positive integer" in capsys.readouterr().err
+
+
+CHURCH = "(all a (-> (-> a a) (-> a a)))"
+
+
+@pytest.mark.parametrize("ty", ["(all a a)", "(all a (-> a a))", "(all a (all b (-> a (-> b a))))", CHURCH])
+def test_search_false_runs_to_the_end_at_the_nesting_limit(capsys, ty):
+    """The search recurses along each term it builds.  At --max-size MAX_NESTING
+    it ends on every type these tests search; the deepest inhabitant, a
+    Church numeral of 448 applications, is found, reads back and typechecks."""
+    code, out = _run(capsys, ["search-false", ty, "--max-size", str(MAX_NESTING), "--json"])
+    assert code == 0
+    found = json.loads(out)["items"][0]["inhabitants"]
+    if ty == CHURCH:
+        assert len(found) == 449 and max(text.count("(app x0 ") for text in found) == 448
+    for text in sorted(found, key=len)[-1:]:
+        assert typecheck(parse_term(text, builtin_signature()), builtin_signature()) == parse_type(ty)
+
+
+def test_search_false_refuses_a_size_over_the_nesting_limit(capsys, monkeypatch):
+    """One node more is an argument error, exit 2, and no search runs."""
+    monkeypatch.setattr(cli, "search_false", lambda *args: pytest.fail("the search ran"))
+    assert main(["search-false", CHURCH, "--max-size", str(MAX_NESTING + 1)]) == 2
+    assert f"--max-size: expected a positive integer up to {MAX_NESTING}, got '901'" in capsys.readouterr().err
 
 
 def test_json_reports_parse(capsys, lex_path):

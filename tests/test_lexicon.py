@@ -2,6 +2,7 @@
 
 import pytest
 
+from polysem.composer import compose, parse_tree
 from polysem.errors import (
     DuplicateWord,
     IncoherentCoercions,
@@ -198,6 +199,43 @@ sort e:dog
 const legs : (-> e:dog e:nat)
 word four main (app Succ (app Succ (app Succ (app Succ Zero))))
 """
+
+
+TRANSFER_LEXICON = """\
+sort e:dog
+sort e:ani
+sort e:info
+coercion dogAni : e:dog -> e:ani
+const rex : e:dog
+const sleeps : (-> e:ani t)
+const famous : (-> e:info t)
+const fame : (-> e:ani e:info)
+const story : (-> e:dog e:info)
+const tell : (-> e:info e:info)
+word and main AND
+word sleeps main (lam (x e:ani) (app sleeps x))
+word famous main (lam (x e:info) (app famous x))
+word rex main rex
+word-transfer rex story flexible story
+word-transfer rex fame flexible fame
+word-transfer rex tell flexible tell
+word every main ∀
+word-transfer every flip flexible (lam (p (-> e:dog t)) p)
+"""
+
+
+def test_transfers_that_can_fire_load():
+    """A transfer may start from its word's type, from a coercion of it or from
+    another of its transfers' results: in AND's view slots, rex coerced to e:ani
+    takes fame, and rex read as its story takes tell.  A word whose type has a
+    leading ∀ is not checked, since a TY annotation instantiates it."""
+    assert lexicon_problems(TRANSFER_LEXICON) == []
+    lex = load_lexicon(TRANSFER_LEXICON)
+    trees = [parse_tree(f"(NODE (NODE (NODE (LEAF and) (LEAF {pred})) (LEAF famous)) (LEAF rex))")
+             for pred in ("sleeps", "famous")]
+    used = {label for tree in trees for analysis in compose(tree, lex)
+            for labels in analysis.labels().values() for label in labels}
+    assert {"fame", "tell"} <= used
 
 
 def test_pragmas_enable_inductives():

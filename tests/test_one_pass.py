@@ -1,13 +1,16 @@
-"""The one-pass reader against the two-pass reader it stands in front of.
+"""The token walkers against the two-pass reader they replaced.
 
-parse_type, parse_term and parse_tree read a text in one pass from its tokens
-(syntax.one_pass), and only a text that pass refuses goes through parse_sexpr
-and the grammar walkers, which raise the located error.  The inputs: random
-types, terms and trees printed with random separators, the same texts with
-one piece inserted or deleted (and then one more), every string of up to five
-tokens over a few pieces, every atom in every place of every form, the
-fixture lines, the benchmark's workload texts, and text nested at the limit.
-On each, each public reader gives the two-pass reader's node (equal, and
+parse_type, parse_term, parse_tree and parse_formula each have one token
+walker.  syntax.read_text walks a text's bare tokens with it in one pass,
+and where that pass refuses the text it walks the located tokens again, and
+the walker raises the error itself.  The oracle is the two-pass
+reader, parse_sexpr and a grammar walker over its nodes, kept in
+reference_reader.py.  The inputs: random types, terms, trees and formulas
+printed with random separators, the same texts with one piece inserted or
+deleted (and then one more), every string of up to five tokens over a few
+pieces, every atom in every place of every form, the fixture lines, the
+benchmark's workload texts, and text nested at the limit and one deeper.  On
+each, each public reader gives the two-pass reader's node (equal, and
 printing the same) or its error (class, message, line and column), and the
 one pass refuses exactly the texts the two-pass reader rejects.
 """
@@ -15,31 +18,51 @@ one pass refuses exactly the texts the two-pass reader rejects.
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 
-from polysem.composer import Leaf, Node, _tree_from_sexpr, _tree_from_tokens, parse_tree
+import reference_reader
+from formula_gen import random_formula
+from polysem.composer import Leaf, Node, _tree_from_tokens, parse_tree
 from polysem.errors import ParseError
+from polysem.hol import Formula, _formula_from_tokens, parse_formula, print_formula
 from polysem.inductives import register_finset, register_nat
 from polysem.lexicon import builtin_signature, load_lexicon
+from polysem import syntax
 from polysem.syntax import (
     MAX_NESTING,
     Const,
-    _term_from_sexpr,
     entity_sort,
-    one_pass,
-    parse_sexpr,
     parse_term,
     parse_type,
     print_term,
     print_type,
     term_from_tokens,
-    type_from_sexpr,
     type_from_tokens,
 )
 from random_terms import TermGenerator
+from reference_reader import _term_from_sexpr, _tree_from_sexpr, parse_sexpr, type_from_sexpr
 from test_node_sharing import _nodes
 from test_reader import PIECES, ROOT, SEPARATORS, load_workloads
+
+
+class _Located(Exception):
+    pass
+
+
+def _located(text):
+    raise _Located
+
+
+def one_pass(text: str, read, *context):
+    """What read_text builds from `text` in its one pass over the bare tokens; None where
+    that pass refuses the text and the located walk would begin."""
+    with mock.patch.object(syntax, "located_tokens", _located):
+        try:
+            return syntax.read_text(text, read, *context)
+        except _Located:
+            return None
 
 
 def _readers(sig):
@@ -59,7 +82,15 @@ def _readers(sig):
         "term_closed": term(False),
         "tree": (lambda text: one_pass(text, _tree_from_tokens), parse_tree,
                  lambda text: _tree_from_sexpr(parse_sexpr(text)), _print_tree),
+        # a term read where a formula is asked for is parse_formula's refusal, not the walker's
+        "formula": (lambda text: _formula(one_pass(text, _formula_from_tokens, sig, {})),
+                    lambda text: parse_formula(text, sig),
+                    lambda text: reference_reader.parse_formula(text, sig), print_formula),
     }
+
+
+def _formula(read):
+    return read if isinstance(read, Formula) else None
 
 
 def _print_tree(tree) -> str:
@@ -109,6 +140,8 @@ def _check_all(readers, text: str) -> None:
 _TOKEN = re.compile(r"[()]|[^() \t\r\n]+")
 SPACES = tuple(s for s in SEPARATORS if not s.strip(" \t\r\n"))
 INSERTED = PIECES + ("lam", "app", "tlam", "tapp", "->", "all", "set", "e:", "LEAF", "NODE", "TY", "Zero")
+FORMULA_INSERTED = PIECES + ("and", "implies", "not", "forall", "exists", "eps", "tau", "lam", "tlam", "barks",
+                             "rex", "(x e:dog)")
 
 
 def _respaced(rng: random.Random, text: str) -> str:
@@ -124,10 +157,10 @@ def _respaced(rng: random.Random, text: str) -> str:
     return rng.choice(("", " ", "\n")) + "".join(out) + rng.choice(("", "\n", " \t"))
 
 
-def _mutated(rng: random.Random, text: str) -> str:
+def _mutated(rng: random.Random, text: str, pieces=INSERTED) -> str:
     i = rng.randrange(len(text) + 1)
     if rng.random() < 0.5:
-        return text[:i] + rng.choice(INSERTED) + text[i:]
+        return text[:i] + rng.choice(pieces) + text[i:]
     return text[:i] + text[i + 1:]
 
 
@@ -162,11 +195,25 @@ def test_random_texts_read_as_by_the_two_pass_reader():
     assert read > 300
 
 
+def test_random_formulas_read_as_by_the_two_pass_reader(lex):
+    """formula_gen's formulas, printed with random separators, and the same
+    texts with one piece inserted or deleted, and then one more."""
+    readers = _readers(lex.signature)
+    rng = random.Random(26)
+    read = 0
+    for _ in range(200):
+        spaced = _respaced(rng, print_formula(random_formula(rng, lex.signature)))
+        once = _mutated(rng, spaced, FORMULA_INSERTED)
+        for variant in (spaced, once, _mutated(rng, once, FORMULA_INSERTED)):
+            read += _check(readers, "formula", variant)
+    assert read > 250
+
+
 def test_short_token_strings_read_as_by_the_two_pass_reader(lex):
     """Every string of one to five tokens over ( ) x and one form's keyword."""
     readers = _readers(lex.signature)
     forms = {("type", "type_sorted"): ("->", "all", "set"), ("term", "term_closed"): ("app", "lam", "tlam", "tapp"),
-             ("tree",): ("LEAF", "NODE", "TY")}
+             ("tree",): ("LEAF", "NODE", "TY"), ("formula",): ("and", "not", "forall", "tlam", "barks")}
     for kinds, keywords in forms.items():
         for keyword in keywords:
             for n in range(1, 6):
@@ -180,7 +227,10 @@ def test_short_token_strings_read_as_by_the_two_pass_reader(lex):
 TEMPLATES = ("{}", "(-> {} t)", "(all {} t)", "(set {})", "(app barks {})", "(lam ({} t) x)", "(lam (x {}) x)",
              "(tlam {} x)", "(tapp x {})", "(LEAF {})", "(NODE (LEAF a) {})", "(TY (LEAF a) {})",
              "(-> t t {}", "(all a t {}", "(set t {}", "(app barks x {}", "(lam (x t {} x)", "(lam (x t) x {}",
-             "(tlam a x {}", "(tapp x t {}", "(LEAF a {}", "(NODE (LEAF a) (LEAF a) {}")
+             "(tlam a x {}", "(tapp x t {}", "(LEAF a {}", "(NODE (LEAF a) (LEAF a) {}",
+             "(not {})", "(and (barks rex) {})", "(forall ({} e:dog) (barks rex))", "(exists (x {}) (barks x))",
+             "(eps (x e:dog) {})", "(tlam {} (barks rex))", "(barks {})", "(∀ {} (lam (x e:dog) (barks x)))",
+             "(not (barks rex) {}", "(lam (x e:dog) (barks x) {}")
 ATOMS = ("t", "e:", "e:dog", "e:cat", "x", "barks", "zzz", "λ", "\x0c", "lam", "(", ")")
 
 
@@ -243,5 +293,8 @@ def test_text_nested_at_the_limit(lex, depth):
         ("term", "(lam (x t) " * (n - 2) + "(lam (y (-> t t)) y)" + ")" * (n - 2)),
         ("tree", "(NODE (LEAF a) " * n + "(LEAF a)" + ")" * n),
         ("tree", "(TY " * n + "(LEAF a)" + " (set t))" * n),
+        ("formula", "(not " * n + "(barks rex)" + ")" * n),
+        ("formula", "(forall (x e:dog) " * n + "(barks x)" + ")" * n),
+        ("formula", "(not " * (n - 2) + "(∀ e:dog (lam (x e:dog) (barks x)))" + ")" * (n - 2)),
     ]:
         assert _check(readers, kind, text) == (depth == MAX_NESTING), (kind, depth)

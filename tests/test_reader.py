@@ -1,4 +1,4 @@
-"""The s-expression reader behind every text format.
+"""The reader behind every text format.
 
 ERROR_TABLE and LEXICON_TABLE pin, for malformed types, terms, trees,
 formulas and lexicon lines, the exact error (class, message, line and
@@ -7,9 +7,13 @@ entries changed since, when tree and lexicon files stopped breaking lines at
 form feed, and the lexicon entries of faults inside a TYPE or TERM changed
 when they came to give the document's line and column; they are marked.  No
 other entry may change.  Entries were added since for declared names that are
-not one atom.  The differential
-tests compare the reader with that earlier reader, kept in
-reference_reader.py, node by node (atom, line and column) or error by error.
+not one atom, and for a word-transfer that can never fire.
+
+Each grammar has one token walker; a text it refuses is walked again over
+its located tokens (syntax.located_tokens), which first make the checks on
+the text as a whole.  The differential tests compare those tokens with the
+earlier per-character reader, kept in reference_reader.py, node by node
+(atom, line, column and number of items) or error by error.
 """
 
 import importlib.util
@@ -18,6 +22,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysem import errors
 from polysem.composer import parse_tree, parse_trees
@@ -25,8 +31,8 @@ from polysem.errors import ParseError
 from polysem.hol import parse_formula
 from polysem.kernel import typecheck
 from polysem.lexicon import load_lexicon, lexicon_problems
-from polysem.syntax import MAX_NESTING, parse_sexpr, parse_term, parse_type, print_term, print_type
-from reference_reader import parse_sexpr as reference_parse_sexpr
+from polysem.syntax import MAX_NESTING, located_tokens, parse_term, parse_type, print_term, print_type
+from reference_reader import parse_sexpr_by_characters
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -204,6 +210,10 @@ LEXICON_TABLE = [
      ["1:1: const name '(p' is not one atom"]),
     ('sort e:(a',
      ["1:1: sort 'e:(a' is not one atom"]),
+    # a word-transfer out of a type that no reading of its word has can never fire
+    ('sort e:dog\nsort e:cat\nsort e:phys\nconst rex : e:dog\nconst p : (-> e:cat e:phys)\nword rex main rex\n'
+     'word-transfer rex odd flexible p',
+     ["line 7: word-transfer 'odd' can never fire: no reading of 'rex' has type e:cat"]),
 ]
 
 PARSERS = {
@@ -246,15 +256,21 @@ def _shape(node) -> list:
     return out
 
 
-def _read(parse, text: str):
+def _located_shape(text: str) -> list:
+    """The same of every atom and list, from `text`'s located tokens: a list starts at its '('."""
+    return [(None, t.line, t.col, t.n) if t == "(" else (str(t), t.line, t.col, None)
+            for t in located_tokens(text) if t != ")"]
+
+
+def _read(shape, text: str):
     try:
-        return _shape(parse(text))
+        return shape(text)
     except ParseError as e:
         return ("error", type(e), str(e), e.line, e.col)
 
 
 def _assert_same(text: str):
-    assert _read(parse_sexpr, text) == _read(reference_parse_sexpr, text), repr(text)
+    assert _read(_located_shape, text) == _read(lambda t: _shape(parse_sexpr_by_characters(t)), text), repr(text)
 
 
 ATOMS = ("a", "t", "->", "e:dog", "xy", "λ", "aλb", "#")
@@ -410,10 +426,14 @@ def test_deep_arrow_is_a_parse_error():
     ("(" * 900 + ")" * 901, "1:1801: trailing input ')'"),
     ("(" * 900 + ")" * 899, "1:1: unclosed '('"),
 ], ids=["too-deep", "too-deep-over-lines", "deepest-then-trailing", "deepest-unclosed"])
-def test_nesting_limit_and_the_errors_around_it(text, message):
-    with pytest.raises(ParseError) as info:
-        parse_sexpr(text)
-    assert str(info.value) == message
+def test_nesting_limit_and_the_errors_around_it(lex, text, message):
+    """The located tokens raise these errors, and so does every reader of one text."""
+    readers = [located_tokens] + [lambda t, parse=parse: parse(t, lex.signature)
+                                  for kind, parse in PARSERS.items() if kind != "trees"]
+    for read in readers:
+        with pytest.raises(ParseError) as info:
+            read(text)
+        assert str(info.value) == message
 
 
 def test_deepest_allowed_text_reads_typechecks_and_prints_as_before(lex):
@@ -446,3 +466,36 @@ def test_deepest_allowed_formulas_read(lex):
     with pytest.raises(ParseError) as info:
         parse_formula("(not " * (n - 1) + "(lam (x e:dog) x)" + ")" * (n - 1), sig)
     assert str(info.value) == f"1:{5 * (n - 1) + 1}: expected a formula"
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every reader returns a node or raises ParseError, at any depth
+
+FUZZ_PIECES = ("(", ")", " ", "\t", "\r", "\n", "\x0c", "#", "->", "all", "set", "lam", "app", "tlam", "tapp",
+               "LEAF", "NODE", "TY", "and", "implies", "not", "forall", "exists", "eps", "tau", "t", "e:", "e:dog",
+               "e:cat", "x", "barks", "rex", "AND", "λ")
+NESTINGS = ("(", "(not ", "(-> t ", "(all a ", "(set ", "(lam (x t) ", "(app barks ", "(tapp ", "(NODE (LEAF a) ",
+            "(TY ", "(forall (x e:dog) ", "(and (barks rex) ", "(lam (x ", "(barks ")
+
+
+@st.composite
+def reader_texts(draw):
+    """Soup over parens, separators, form keywords and atoms, half of the
+    time inside one kind of list opened 3 fewer to 2 more times than
+    MAX_NESTING, and closed once fewer to once more."""
+    text = "".join(draw(st.lists(st.sampled_from(FUZZ_PIECES), max_size=24)))
+    if draw(st.booleans()):
+        depth = draw(st.integers(MAX_NESTING - 3, MAX_NESTING + 2))
+        text = draw(st.sampled_from(NESTINGS)) * depth + text + ")" * (depth + draw(st.integers(-1, 1)))
+    return text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=reader_texts())
+def test_every_reader_returns_a_node_or_raises_a_parse_error(lex, text):
+    """No StopIteration, IndexError, RecursionError or other error escapes."""
+    for parse in PARSERS.values():
+        try:
+            parse(text, lex.signature)
+        except ParseError:
+            pass
