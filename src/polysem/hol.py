@@ -9,8 +9,7 @@ a Hilbert choice term or a function constant applied to its arguments.  A
 variable-headed spine applied to arguments, such as a predicate variable
 bound by a quantifier over (-> e:dog t), has no formula yet and is refused
 with UnexpectedHead; a lexicon entry can produce one.  parse_formula reads
-the s-expression style back with one token walker (syntax.read_text).
-"""
+the s-expression style back with one token walker (syntax.read_text)."""
 
 from __future__ import annotations
 
@@ -380,10 +379,14 @@ def _print_sexpr(f) -> str:
         return out
     match f:
         case Atom(pred, _, ty_args, args) | ConstApp(pred, _, ty_args, args):
-            parts = [pred, *map(print_type, ty_args), *map(_print_sexpr, args)]  # one frame a level
+            parts = [pred, *map(print_type, ty_args)]
+            for arg in args:  # a call from a loop takes one frame a level on every Python version
+                parts.append(_print_sexpr(arg))
             out = parts[0] if len(parts) == 1 else "(" + " ".join(parts) + ")"
-        case Conn(conn, args):
-            out = "(" + " ".join([conn, *map(_print_sexpr, args)]) + ")"
+        case Conn(conn, (arg,)):
+            out = f"({conn} {_print_sexpr(arg)})"
+        case Conn(conn, (left, right)):
+            out = f"({conn} {_print_sexpr(left)} {_print_sexpr(right)})"
         case Quant(kind, var, sort_type, body) | Hilbert(kind, var, sort_type, body):
             tag = "eps" if kind == EPSILON else kind
             out = f"({tag} ({var} {print_type(sort_type)}) {_print_sexpr(body)})"

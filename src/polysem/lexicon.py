@@ -330,9 +330,9 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
     # a transfer fires on its word's reading, a coercion of it or another transfer's result (no ∀: TY instantiates it)
     for lineno, word, label, ty in added:
         entry = entries[word]
-        met = [entry.ty, *(t for _, t in coercion_targets(graph, entry.ty)),
-               *(tr.ty.codomain for tr in entry.transfers if isinstance(tr.ty, Arrow))]
-        if isinstance(ty, Arrow) and not isinstance(entry.ty, Forall) and ty.domain not in met:
+        if isinstance(ty, Arrow) and not isinstance(entry.ty, Forall) and ty.domain != entry.ty and ty.domain not in [
+                *(t for _, t in coercion_targets(graph, entry.ty)),
+                *(tr.ty.codomain for tr in entry.transfers if isinstance(tr.ty, Arrow))]:
             fail(LexiconError(f"line {lineno}: word-transfer {label!r} can never fire: "
                               f"no reading of {word!r} has type {print_type(ty.domain)}"))
 

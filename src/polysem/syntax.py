@@ -16,10 +16,9 @@ finite-set extension.
 
 Space, tab, CR and LF separate tokens, `(` and `)` are tokens of their own,
 and every other run of characters (form feed, non-ASCII) is an atom; `#`
-comments exist only in lexicon and tree files.  Each grammar has one token
-walker, which walks a text it refuses again with positions (read_text): a
-malformed text raises ParseError (`LINE:COL: message`), and so does one
-nesting over MAX_NESTING."""
+comments exist only in lexicon and tree files.  A malformed text raises
+ParseError (`LINE:COL: message`), and so does one nesting over MAX_NESTING:
+each grammar's one token walker walks a refused text again to place it."""
 
 from __future__ import annotations
 
@@ -583,15 +582,13 @@ def refuse(tok: str, message: str, cls=ParseError) -> Exception:
 
 
 def form_error(tok: str, head: str, messages: dict) -> Exception:
-    """The error of list `tok`, headed by `head`, that fails its form's check.  `messages` maps each
-    form's head to its message, "(" to that of a list with no head atom, None to an unknown head's."""
+    """The error of list `tok` headed by `head` failing its form's check; `messages` has one per head, "(", None."""
     return refuse(tok, messages.get("(" if head in "()" else head, messages[None]).format(head))
 
 
 def read_text(text: str, read, *context):
-    """What the walker `read(tok, nxt, depth, *context)`, which builds the node starting at token `tok` from
-    later tokens `nxt()` inside `depth` lists, builds from all of `text`: from its bare tokens, or where a
-    check fails there (refuse), from its located tokens, where the check raises its ParseError."""
+    """What walker `read(tok, nxt, depth, *context)`, building the node at `tok` from later tokens `nxt()` inside
+    `depth` lists, builds from `text`: from its bare tokens, or if a check fails (refuse), its located tokens."""
     tokens = iter(_FAST_TOKEN.findall(text))
     try:
         node = read(next(tokens), tokens.__next__, 0, *context)

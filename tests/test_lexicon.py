@@ -220,7 +220,7 @@ word-transfer rex story flexible story
 word-transfer rex fame flexible fame
 word-transfer rex tell flexible tell
 word every main ∀
-word-transfer every flip flexible (lam (p (-> e:dog t)) p)
+word-transfer every ofRex flexible (lam (p (-> e:dog t)) (app p rex))
 """
 
 
