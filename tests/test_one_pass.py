@@ -22,14 +22,12 @@ from unittest import mock
 
 import pytest
 
-import reference_reader
-from formula_gen import random_formula
+from polysem import syntax
 from polysem.composer import Leaf, Node, _tree_from_tokens, parse_tree
 from polysem.errors import ParseError
 from polysem.hol import Formula, _formula_from_tokens, parse_formula, print_formula
 from polysem.inductives import register_finset, register_nat
 from polysem.lexicon import builtin_signature, load_lexicon
-from polysem import syntax
 from polysem.syntax import (
     MAX_NESTING,
     Const,
@@ -41,6 +39,8 @@ from polysem.syntax import (
     term_from_tokens,
     type_from_tokens,
 )
+import reference_reader
+from formula_gen import random_formula
 from random_terms import TermGenerator
 from reference_reader import _term_from_sexpr, _tree_from_sexpr, parse_sexpr, type_from_sexpr
 from test_node_sharing import _nodes
