@@ -3,30 +3,17 @@ coercions between complex types.
 
 The usability condition is coherence: at most one directed path between any
 ordered pair of sorts (and no cycles).  Under coherence the derived coercion
-between any two complex types is unique up to alpha-equivalence, so
-find_coercion can search greedily.
-"""
+between any two types is unique up to alpha-equivalence, so one greedy
+lookup serves find_coercion and coercion_to, over chains the graph keeps."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 from .errors import BrokenChain, IncoherentGraph
-from .syntax import (
-    App,
-    Arrow,
-    Base,
-    Const,
-    Lam,
-    Sort,
-    Term,
-    Type,
-    Var,
-    fresh_name,
-    free_vars,
-)
+from .syntax import App, Arrow, Base, Const, Lam, Sort, Term, Type, Var, fresh_name, free_vars
 from .kernel import substitute
 
 
@@ -68,23 +55,20 @@ class CoherenceReport:
     cycles: tuple[Path, ...] = ()
 
     def describe(self) -> str:
-        parts = []
-        for cyc in self.cycles:
-            names = " -> ".join(e.name for e in cyc)
-            parts.append(f"cycle through {names}")
+        parts = [f"cycle through {' -> '.join(e.name for e in cyc)}" for cyc in self.cycles]
         for c in self.conflicts:
-            p1 = "∘".join(e.name for e in reversed(c.first))
-            p2 = "∘".join(e.name for e in reversed(c.second))
+            p1, p2 = ("∘".join(e.name for e in reversed(p)) for p in (c.first, c.second))
             parts.append(f"two paths {c.source}~>{c.target}: {p1} and {p2}")
-        return "; ".join(parts) if parts else "coherent"
+        return "; ".join(parts) or "coherent"
 
 
 @dataclass(frozen=True)
 class CoercionGraph:
-    """Declared coercions.  Adjacency lists, the path table and the coherence
-    report are computed on first use and cached on the (immutable) graph."""
+    """Declared coercions.  Adjacency lists, the path table, the coherence
+    report and each path's chain are computed on first use and kept."""
 
     edges: tuple[BaseCoercion, ...] = ()
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def nodes(self) -> frozenset[Sort]:
@@ -111,16 +95,13 @@ class CoercionGraph:
     def _table(self):
         """The path table (cycle, hops, multi), from one depth-first walk
         over the sorts in name order, following edges in declaration order.
-
         cycle is the first directed cycle met, as its edge sequence, or None.
         When it is None, hops[s] maps each sort that s reaches by >= 1 edge
         to the first edge of the first such path in DFS edge order, and
         multi[s] is the set of sorts s reaches by two or more paths.  A
-        sort's entries are built as the walk leaves it, from its successors'
-        entries: the first out-edge reaching t starts the first path to t,
-        and t has two paths if two out-edges reach it or one successor has
-        two.  O(V·E) in all.
-        """
+        sort's entries are built as the walk leaves it, from its successors':
+        the first out-edge reaching t starts the first path to t, and t has
+        two paths if two out-edges reach it or one successor has two.  O(V·E)."""
         GREY, BLACK = 1, 2
         color: dict[Sort, int] = {}
         hops: dict[Sort, dict[Sort, BaseCoercion]] = {}
@@ -144,8 +125,7 @@ class CoercionGraph:
                 else:
                     stack.pop()
                     color[node] = BLACK
-                    hop: dict[Sort, BaseCoercion] = {}
-                    many: set[Sort] = set()
+                    hop, many = {}, set()
                     for e in self.outgoing(node):
                         many |= multi[e.target]
                         for t in (e.target, *hops[e.target]):
@@ -158,14 +138,19 @@ class CoercionGraph:
 
     @cached_property
     def coherence(self) -> CoherenceReport:
-        """check_coherence's report, computed once per graph."""
-        return check_coherence(self)
+        """ok iff the graph is acyclic with at most one directed path between
+        every ordered pair of sorts; a violation lists the first two in DFS order."""
+        cycle, _, multi = self._table
+        if cycle is not None:
+            return CoherenceReport(ok=False, cycles=(cycle,))
+        conflicts = tuple(PathConflict(a, b, *_witnesses(self, a, b))
+                          for a in sorted(self.nodes, key=str) for b in sorted(multi[a], key=str))
+        return CoherenceReport(ok=not conflicts, conflicts=conflicts)
 
     def path(self, source: Sort, target: Sort) -> Optional[Path]:
         """The first path source ~> target of >= 1 edge in DFS edge order,
         or None.  Read off the path table, so None on a cyclic graph."""
-        hops = self._table[1]
-        out = []
+        hops, out = self._table[1], []
         while source != target:
             edge = hops.get(source, {}).get(target)
             if edge is None:
@@ -173,6 +158,14 @@ class CoercionGraph:
             out.append(edge)
             source = edge.target
         return tuple(out) or None
+
+    def chain(self, source: Sort, target: Sort) -> Optional[Term]:
+        """compose_path of the path source ~> target, or None: built on first
+        use and kept, so each pair's chain is one term for the graph's life."""
+        key = source, target
+        if key not in self._chains:
+            self._chains[key] = (path := self.path(source, target)) and compose_path(path)
+        return self._chains[key]
 
 
 def _witnesses(g: CoercionGraph, source: Sort, target: Sort) -> tuple[Path, Path]:
@@ -189,24 +182,14 @@ def _witnesses(g: CoercionGraph, source: Sort, target: Sort) -> tuple[Path, Path
 
 
 def check_coherence(g: CoercionGraph) -> CoherenceReport:
-    """ok iff the graph is acyclic and has at most one directed path between
-    every ordered pair of sorts.  Violations list both witness paths: the
-    first two in DFS edge order."""
-    cycle, _, multi = g._table
-    if cycle is not None:
-        return CoherenceReport(ok=False, cycles=(cycle,))
-    conflicts = tuple(PathConflict(a, b, *_witnesses(g, a, b))
-                      for a in sorted(g.nodes, key=str) for b in sorted(multi[a], key=str))
-    return CoherenceReport(ok=not conflicts, conflicts=conflicts)
+    """The graph's coherence report, computed on the first call per graph."""
+    return g.coherence
 
 
 def compose_path(edges: list[BaseCoercion]) -> Term:
-    """Materialize a chained edge path as a term.
-
-    A singleton path is the coercion constant itself; longer paths become
-    lam x. e_n (... (e_1 x)).  Empty paths are rejected: reflexivity is
-    find_coercion's business.
-    """
+    """A chained edge path as a term: a singleton path is the coercion
+    constant itself, a longer one lam x. e_n (... (e_1 x)).  An empty path is
+    rejected: the identity is the lookup's business."""
     if not edges:
         raise BrokenChain("empty coercion path")
     for left, right in zip(edges, edges[1:]):
@@ -229,31 +212,32 @@ def coerce_app(co: Term, arg: Term) -> Term:
 
 
 def find_coercion(g: CoercionGraph, source: Type, target: Type) -> Optional[Term]:
-    """The unique coercion term of type source -> target, or None.
-
-    Built from reflexivity (identity), composition of base edges, and arrow
-    lifting (contravariant domain, covariant codomain).  No lifting under
-    universal quantifiers.  Requires a coherent graph.
-    """
+    """The unique coercion term of type source -> target, or None: the
+    identity, a chain of base edges, or an arrow lift (contravariant domain,
+    covariant codomain), never under a quantifier.  Requires a coherent graph."""
     if not g.coherence.ok:
         raise IncoherentGraph("find_coercion requires a coherent graph")
-    return _find(g, source, target)
+    found = _coerce(g, source, target, False)
+    return found and (Lam("x", source, Var("x")) if found[0] is None else found[0])
 
 
-def _find(g: CoercionGraph, source: Type, target: Type) -> Optional[Term]:
+def _coerce(g: CoercionGraph, source: Type, target: Type, bases: bool) -> Optional[tuple[Optional[Term], Type]]:
+    """(term, type) for the coercion source -> target, with term None for the
+    identity, or None.  An arrow lifts at the target's domain.  With `bases`,
+    as coercion_targets enumerates: a domain is coerced between base sorts
+    only, and one left alone is the source's own (so are its binder names)."""
     if source == target:
-        return Lam("x", source, Var("x"))
-    if isinstance(source, Base) and isinstance(target, Base):
-        if source.sort.kind != "entity" or target.sort.kind != "entity":
-            return None
-        path = g.path(source.sort, target.sort)
-        return None if path is None else compose_path(path)
-    if isinstance(source, Arrow) and isinstance(target, Arrow):
-        c = _find(g, target.domain, source.domain)
-        d = _find(g, source.codomain, target.codomain)
-        if c is None or d is None:
-            return None
-        return _lift(source, target.domain, c, d)
+        return None, source
+    match source, target:
+        case Base(a), Base(b):
+            chain = g.chain(a, b)
+            return None if chain is None else (chain, target)
+        case Arrow(dom, cod), Arrow(new_dom, new_cod):
+            if bases and dom != new_dom and not isinstance(dom, Base):
+                return None
+            c, d = _coerce(g, new_dom, dom, bases), _coerce(g, cod, new_cod, bases)
+            at = dom if bases and dom == new_dom else new_dom
+            return c and d and (_lift(source, at, c[0], d[0]), Arrow(at, d[1]))
     return None
 
 
@@ -274,14 +258,10 @@ def sort_coercions(g: CoercionGraph, sort: Sort, into: bool = False) -> list[tup
     """(coercion term, other end) for every sort that `sort` reaches by >= 1
     edge or, with `into`, that reaches `sort`; ordered by path length, then
     by the declaration order of the path's edges."""
-    hops = g._table[1]
-    if into:
-        paths = [g.path(s, sort) for s, hop in hops.items() if sort in hop]
-    else:
-        paths = [g.path(sort, t) for t in hops.get(sort, ())]
-    rank = g._adjacency[2]
-    paths.sort(key=lambda p: (len(p), [rank[e] for e in p]))
-    return [(compose_path(p), Base(p[0].source if into else p[-1].target)) for p in paths]
+    hops, rank = g._table[1], g._adjacency[2]
+    ends = [(s, sort) for s, hop in hops.items() if sort in hop] if into else [(sort, t) for t in hops.get(sort, ())]
+    ends.sort(key=lambda st: (len(p := g.path(*st)), [rank[e] for e in p]))
+    return [(g.chain(s, t), Base(s if into else t)) for s, t in ends]
 
 
 def coercion_targets(g: CoercionGraph, ty: Type) -> list[tuple[Term, Type]]:
@@ -289,46 +269,22 @@ def coercion_targets(g: CoercionGraph, ty: Type) -> list[tuple[Term, Type]]:
     arrow lifts combining domain sources with codomain targets.  Only
     base-sort sources are enumerated on the contravariant side."""
     match ty:
-        case Base(sort) if sort.kind == "entity":
+        case Base(sort):  # only entity sorts have coercions
             return sort_coercions(g, sort)
         case Arrow(dom, cod):
-            dom_opts = [(None, dom)]
-            if isinstance(dom, Base) and dom.sort.kind == "entity":
-                dom_opts += sort_coercions(g, dom.sort, into=True)
+            dom_opts = [(None, dom)] + (sort_coercions(g, dom.sort, into=True) if isinstance(dom, Base) else [])
             cod_opts = [(None, cod)] + coercion_targets(g, cod)
             return [(_lift(ty, new_dom, c, d), Arrow(new_dom, new_cod))
                     for c, new_dom in dom_opts for d, new_cod in cod_opts
                     if c is not None or d is not None]
-        case _:
-            return []
+    return []
 
 
 def coercion_to(g: CoercionGraph, ty: Type, goal: Type) -> Optional[tuple[Term, Type]]:
     """The entry of coercion_targets(g, ty) whose type alpha-equals `goal`,
-    or None, read off the path table without enumerating.  The entry is
+    or None, read off the chain table without enumerating.  The entry is
     unique only on a coherent graph, so that is required."""
     if not g.coherence.ok:
         raise IncoherentGraph("coercion_to requires a coherent graph")
-    match ty, goal:
-        case Base(sort), Base(target) if sort.kind == "entity":
-            path = g.path(sort, target)
-            return None if path is None else (compose_path(path), goal)
-        case Arrow(dom, cod), Arrow(new_dom, new_cod):
-            c = d = None
-            if new_dom != dom:
-                if not (isinstance(dom, Base) and dom.sort.kind == "entity"
-                        and isinstance(new_dom, Base)):
-                    return None
-                path = g.path(new_dom.sort, dom.sort)
-                if path is None:
-                    return None
-                c, dom = compose_path(path), Base(new_dom.sort)
-            if new_cod != cod:
-                found = coercion_to(g, cod, new_cod)
-                if found is None:
-                    return None
-                d, cod = found
-            elif c is None:
-                return None
-            return _lift(ty, dom, c, d), Arrow(dom, cod)
-    return None
+    found = _coerce(g, ty, goal, True)
+    return None if found is None or found[0] is None else found

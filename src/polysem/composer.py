@@ -287,14 +287,14 @@ class _Search:
 
     def transfers(self, cand: _Cand, domain: Type) -> Iterator[tuple[Use, Term, Type]]:
         """(use, term, codomain) for each transfer of the candidate's word
-        out of `domain`, flexible before rigid."""
+        out of `domain`, flexible before rigid (the load refuses a transfer
+        that is not a function)."""
         if cand.head is None:
             return
         transfers = self.lex.entries[cand.head.word].transfers
         for rigidity in (FLEXIBLE, RIGID):
             for tr in transfers:
-                if (tr.rigidity == rigidity and isinstance(tr.ty, Arrow)
-                        and tr.ty.domain == domain):
+                if tr.rigidity == rigidity and tr.ty.domain == domain:
                     yield Use(tr.label, rigidity, "transfer"), tr.term, tr.ty.codomain
 
     def arg_adaptations(self, arg: _Cand, dom: Type, binders: list[str]) -> list[_Adaptation]:

@@ -69,8 +69,7 @@ _CONN_CONSTANTS = {"∧": AND, "¬": NOT, "⊃": IMPLIES}
 _QUANT_CONSTANTS = {"∀": FORALL, "∃": EXISTS}
 _HILBERT_CONSTANTS = {"ε": EPSILON, "τ": TAU}
 _CONN_NAMES = {v: k for k, v in _CONN_CONSTANTS.items()}
-_QUANT_NAMES = {v: k for k, v in _QUANT_CONSTANTS.items()}
-_HILBERT_NAMES = {v: k for k, v in _HILBERT_CONSTANTS.items()}
+_BINDER_NAMES = {v: k for k, v in {**_QUANT_CONSTANTS, **_HILBERT_CONSTANTS}.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -258,32 +257,26 @@ _READER = SimpleNamespace(abstraction=_read_abstraction, head=_refuse_head, spin
 
 def formula_to_term(f: Union[Formula, HolTerm], sig: Signature) -> Term:
     match f:
-        case Atom(pred, pred_type, ty_args, args):
-            return apps(Const(pred, pred_type), *ty_args,
-                        *[formula_to_term(a, sig) for a in args])
+        case Atom(name, ty, ty_args, args) | ConstApp(name, ty, ty_args, args):
+            out = apps(Const(name, ty), *ty_args)
         case Conn(conn, args):
-            head = sig.const(_CONN_NAMES[conn])
-            return apps(head, *[formula_to_term(a, sig) for a in args])
-        case Quant(kind, var, sort_type, body):
-            head = sig.const(_QUANT_NAMES[kind])
-            return App(TyApp(head, sort_type),
+            out = sig.const(_CONN_NAMES[conn])
+        case Quant(kind, var, sort_type, body) | Hilbert(kind, var, sort_type, body):
+            return App(TyApp(sig.const(_BINDER_NAMES[kind]), sort_type),
                        Lam(var, sort_type, formula_to_term(body, sig)))
         case HVar(name, _):
             return Var(name)
-        case ConstApp(const, const_type, ty_args, args):
-            return apps(Const(const, const_type), *ty_args,
-                        *[formula_to_term(a, sig) for a in args])
-        case Hilbert(kind, var, sort_type, body):
-            head = sig.const(_HILBERT_NAMES[kind])
-            return App(TyApp(head, sort_type),
-                       Lam(var, sort_type, formula_to_term(body, sig)))
         case HAbs(var, var_type, body):
             return Lam(var, var_type, formula_to_term(body, sig))
         case HTyAbs(var, body):
             return TyLam(var, formula_to_term(body, sig))
         case Embed(formula):
             return formula_to_term(formula, sig)
-    raise TypeError(f"not a Formula or HolTerm: {f!r}")
+        case _:
+            raise TypeError(f"not a Formula or HolTerm: {f!r}")
+    for arg in args:  # a call from a loop takes one frame a level on every Python version
+        out = App(out, formula_to_term(arg, sig))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,10 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
     # a transfer fires on its word's reading, a coercion of it or another transfer's result (no ∀: TY instantiates it)
     for lineno, word, label, ty in added:
         entry = entries[word]
-        if isinstance(ty, Arrow) and not isinstance(entry.ty, Forall) and ty.domain != entry.ty and ty.domain not in [
+        if not isinstance(ty, Arrow):
+            fail(LexiconError(f"line {lineno}: word-transfer {label!r} can never fire: "
+                              f"its type {print_type(ty)} is not a function type"))
+        elif not isinstance(entry.ty, Forall) and ty.domain != entry.ty and ty.domain not in [
                 *(t for _, t in coercion_targets(graph, entry.ty)),
                 *(tr.ty.codomain for tr in entry.transfers if isinstance(tr.ty, Arrow))]:
             fail(LexiconError(f"line {lineno}: word-transfer {label!r} can never fire: "

@@ -3,7 +3,9 @@
 The coherence oracle here is independent of the implementation: networkx
 simple-path enumeration over an explicitly built multigraph.  A second set
 of oracles is the pairwise path-enumerating code that the path table
-replaced, kept here to check the table's reports and orderings exactly.
+replaced, kept here to check the table's reports and orderings exactly.  A
+third is the pair of lookups that one recursive lookup over the graph's
+chain table replaced (reference_coercion.py).
 """
 
 import random
@@ -35,8 +37,10 @@ from polysem.syntax import (
     Arrow,
     Base,
     Const,
+    Forall,
     Lam,
     PROP,
+    TyVar,
     Var,
     alpha_eq,
     entity_sort,
@@ -48,6 +52,9 @@ from polysem.syntax import (
     print_term,
     print_type,
 )
+
+import reference_coercion
+from reference_coercion import shown
 
 
 def _graph(*triples):
@@ -499,6 +506,57 @@ def test_coercion_to_is_the_matching_enumerated_target():
                     found += out is not None
                     checked += 1
     assert found > 5_000 and checked > 10 * found  # goals with and without a path
+
+
+def _binder_shapes(sorts):
+    """Shapes the composer meets less often, one list per shape: arrow
+    domains, (-> (-> e:a t) t) and (-> (-> e:a e:b) t), and domains bearing
+    a ∀, each ∀ under two binder names so that α-equal types are spelt apart."""
+    bases = [Base(s) for s in sorts]
+    polys = [Forall(n, Arrow(TyVar(n), TyVar(n))) for n in ("a", "b")]
+    return [[Arrow(Arrow(a, PROP), PROP) for a in bases],
+            [Arrow(Arrow(a, b), PROP) for a in bases for b in bases],
+            [Arrow(p, a) for p in polys for a in bases],
+            [Arrow(Arrow(p, a), PROP) for p in polys for a in bases],
+            [Arrow(Forall(n, Arrow(TyVar(n), a)), Arrow(a, PROP)) for n in ("a", "b") for a in bases]]
+
+
+def test_one_lookup_answers_as_the_two_it_replaced():
+    rng = random.Random(27)
+    seen = Counter()
+    for _ in range(120):
+        g = _random_multigraph(rng, rng.randrange(2, 9))
+        sorts = sorted(g.nodes, key=str)
+        if not check_coherence(g).ok:
+            ty = Arrow(Base(sorts[0]), PROP)
+            for lookup in (find_coercion, coercion_to, reference_coercion.find_coercion,
+                           reference_coercion.coercion_to):
+                with pytest.raises(IncoherentGraph):
+                    lookup(g, ty, ty)
+            continue
+        for shape in _shapes(sorts) + _binder_shapes(sorts):
+            for ty in shape:
+                for goal in shape:
+                    found = shown(find_coercion(g, ty, goal))
+                    assert found == shown(reference_coercion.find_coercion(g, ty, goal)), (ty, goal)
+                    entry = shown(coercion_to(g, ty, goal))
+                    assert entry == shown(reference_coercion.coercion_to(g, ty, goal)), (ty, goal)
+                    seen["found"] += found is not None
+                    seen["entry"] += entry is not None
+                    # an entry keeps the source's binder names where the goal spells them apart
+                    seen["spelt apart"] += entry is not None and entry[1] != print_type(goal)
+                    seen["find only"] += found is not None and entry is None and ty != goal
+    assert seen["found"] > 10_000 and seen["entry"] > 4_000, seen
+    assert seen["spelt apart"] > 200 and seen["find only"] > 2_000, seen
+
+
+def test_each_chain_is_built_once_per_graph():
+    g = _chain(4)
+    s0, s2, s4 = (entity_sort(f"s{i}") for i in (0, 2, 4))
+    assert g.chain(s0, s4) is g.chain(s0, s4) is find_coercion(g, etype("s0"), etype("s4"))
+    assert g.chain(s0, s2) is sort_coercions(g, s0)[1][0]
+    assert g.chain(s4, s0) is None and g.chain(s0, s0) is None
+    assert g == _chain(4) and "_chains" not in repr(g)  # the table is no part of the graph's value
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ search machinery.
 """
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -43,6 +44,7 @@ from polysem.kernel import (
 from polysem.lexicon import builtin_signature, load_lexicon
 from random_terms import generate_corpus
 from test_reader import load_workloads
+from reference_coercion import coercion_to as coercion_to_before, find_coercion as find_coercion_before, shown
 from polysem.syntax import (
     App,
     Arrow,
@@ -984,6 +986,56 @@ def test_a_lift_reusing_its_path_body_is_the_lift_coerce_app_builds(monkeypatch)
         reused += d is None and isinstance(c, Lam) and out.body.body.arg is c.body
         lifted += isinstance(c, Lam) and c.binder == "f"
     assert reused > 400 and lifted == 20 and len(built) > reused + 2 * lifted  # and a constant c
+
+
+def test_every_lookup_the_search_makes_answers_as_before(lex, fixture_dir, monkeypatch):
+    # the one lookup against the two it replaced, on what the search asks
+    calls, answered = [], Counter()
+    for name in ("coercion_to", "find_coercion"):
+        monkeypatch.setattr(composer, name, lambda g, a, b, lookup=getattr(coercion, name):
+                            calls.append((lookup, g, a, b)) or lookup(g, a, b))
+    runs = _goal_corpus(lex, fixture_dir)
+    workloads = load_workloads()
+    for seed in (1, 2, 3):
+        w = workloads.make_workload("ontology", seed)
+        w_lex = load_lexicon(w.lexicon_text)
+        runs += [(w_lex, parse_tree(item.text)) for item in w.items]
+    for run_lex, tree in runs:
+        if not compose(tree, run_lex):
+            diagnose(tree, run_lex)
+    before = {coercion.coercion_to: coercion_to_before, coercion.find_coercion: find_coercion_before}
+    for lookup, g, a, b in calls:
+        found = shown(lookup(g, a, b))
+        assert found == shown(before[lookup](g, a, b)), (lookup.__name__, print_type(a), print_type(b))
+        answered[lookup.__name__, found is not None] += 1
+    # no slot here takes a graph coercion: test_coercion.py's random graphs check those answers
+    assert answered["coercion_to", True] > 100 and answered["coercion_to", False] > 100, answered
+    assert answered["find_coercion", False] > 20, answered
+
+
+def test_each_chain_is_composed_once_per_lexicon(monkeypatch):
+    # the first 200 ontology items of seed 1 ask for 82 (source, target)
+    # chains, 160 times in all; the graph keeps each chain it composed
+    composed, compose_path = [], coercion.compose_path
+    monkeypatch.setattr(coercion, "compose_path",
+                        lambda edges: composed.append((edges[0].source, edges[-1].target)) or compose_path(edges))
+    workloads = load_workloads()
+    w, api = workloads.make_workload("ontology", 1), workloads.make_api()
+    w_lex = api.load_lexicon(w.lexicon_text)
+    for item in w.items[:200]:
+        w.run(api, w_lex, item.text)
+    assert len(composed) == len(set(composed)) == 82
+
+
+def test_coherence_is_checked_once_per_lexicon(fixture_dir, monkeypatch):
+    # the load checks it, and the first lookup reads the report the graph keeps
+    reports, init = [], coercion.CoherenceReport.__init__
+    monkeypatch.setattr(coercion.CoherenceReport, "__init__",
+                        lambda self, *args, **kwargs: reports.append(None) or init(self, *args, **kwargs))
+    fresh = load_lexicon((fixture_dir / "english.lex").read_text())
+    assert len(reports) == 1
+    assert compose(parse_tree(BOOK_TREE), fresh) and compose(parse_tree("(NODE (LEAF heavy) (LEAF book))"), fresh)
+    assert len(reports) == 1
 
 
 def _eager_keys(tree, lex, limit):

@@ -26,6 +26,7 @@ from polysem import hol, kernel
 from polysem.inductives import register_nat
 from polysem.kernel import eta_expand, is_beta_normal, typecheck
 from polysem.syntax import (
+    MAX_NESTING,
     Arrow,
     PROP,
     alpha_eq,
@@ -319,6 +320,23 @@ def test_shadowed_quantifier_variables(lex):
         "(forall (x e:dog) (exists (x e:dog) (barks x)))"
     assert alpha_eq(formula_to_term(f, lex.signature), term)
     assert parse_formula(print_formula(f, SEXPR), lex.signature) == f
+
+
+@pytest.mark.parametrize("outer", ["(not ", "(and (barks rex) "])
+def test_formula_nested_at_the_limit_reads_back_as_a_term(lex, outer):
+    # one frame a level: a list comprehension took a second one on Python 3.11
+    n = MAX_NESTING - 1
+    formula = parse_formula(outer * n + "(barks rex)" + ")" * n, lex.signature)
+    try:
+        term = formula_to_term(formula, lex.signature)
+    except RecursionError:  # not reported from here: pytest compares the locals of its thousand frames
+        term = None
+    assert term is not None, "formula_to_term overflowed the stack"
+    one = formula_to_term(parse_formula(outer + "(barks rex))", lex.signature), lex.signature)
+    for _ in range(n):
+        assert term.fn == one.fn
+        term = term.arg
+    assert term == one.arg
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ entries changed since, when tree and lexicon files stopped breaking lines at
 form feed, and the lexicon entries of faults inside a TYPE or TERM changed
 when they came to give the document's line and column; they are marked.  No
 other entry may change.  Entries were added since for declared names that are
-not one atom, and for a word-transfer that can never fire.
+not one atom, and for word-transfers that can never fire.
 
 Each grammar has one token walker; a text it refuses is walked again over
 its located tokens (syntax.located_tokens), which first make the checks on
@@ -214,6 +214,9 @@ LEXICON_TABLE = [
     ('sort e:dog\nsort e:cat\nsort e:phys\nconst rex : e:dog\nconst p : (-> e:cat e:phys)\nword rex main rex\n'
      'word-transfer rex odd flexible p',
      ["line 7: word-transfer 'odd' can never fire: no reading of 'rex' has type e:cat"]),
+    # the search fires only function-typed transfers
+    ('sort e:dog\nconst rex : e:dog\nword rex main rex\nword-transfer rex odd flexible rex',
+     ["line 4: word-transfer 'odd' can never fire: its type e:dog is not a function type"]),
 ]
 
 PARSERS = {
