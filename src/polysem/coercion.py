@@ -164,8 +164,30 @@ class CoercionGraph:
         use and kept, so each pair's chain is one term for the graph's life."""
         key = source, target
         if key not in self._chains:
-            self._chains[key] = (path := self.path(source, target)) and compose_path(path)
+            self._chains[key] = (path := self.path(source, target)) and self._compose(path)
         return self._chains[key]
+
+    def _compose(self, path: Path) -> Term:
+        """compose_path(path), unchecked (a path chains), its body built on the body
+        of the longest proper prefix whose chain is kept, one App per edge past it."""
+        if len(path) == 1:
+            return path[0].const
+        source, k = path[0].source, len(path) - 1
+        while k > 1 and (source, path[k - 1].target) not in self._chains:
+            k -= 1
+        body = self._chains[source, path[k - 1].target].body if k > 1 else App(path[0].const, Var("x"))
+        for edge in path[k:]:
+            body = App(edge.const, body)
+        return Lam("x", Base(source), body)
+
+    def typed_under(self, sig) -> bool:
+        """Whether `sig` declares each edge constant at its arrow, compared part by part, over sorts it
+        declares, so that each chain and lift has its lookup's type.  The last `sig` that passed is kept."""
+        if self.__dict__.get("_typed_under") is not sig and all(
+                isinstance(ty := sig.constants.get(e.name), Arrow) and {e.source, e.target} <= sig.sorts
+                and (ty.domain, ty.codomain) == (Base(e.source), Base(e.target)) for e in self.edges):
+            self.__dict__["_typed_under"] = sig
+        return self.__dict__.get("_typed_under") is sig
 
 
 def _witnesses(g: CoercionGraph, source: Sort, target: Sort) -> tuple[Path, Path]:

@@ -284,6 +284,7 @@ class _Search:
         self.graph = lex.coercions
         self.failures: list[Failure] = []
         self.identities: dict[int, Term] = {}
+        self.typed = self.graph.typed_under(self.sig)
 
     def transfers(self, cand: _Cand, domain: Type) -> Iterator[tuple[Use, Term, Type]]:
         """(use, term, codomain) for each transfer of the candidate's word
@@ -301,7 +302,8 @@ class _Search:
         # plain consumption is not an adaptation and records nothing;
         # the identity only counts as a MAIN use when it fills a view slot.
         # A domain free of the binders is ground, and on a coherent graph at
-        # most one coercion out of the argument's type reaches it.
+        # most one coercion out of the argument's type reaches it.  Over typed
+        # edges a coercion gets the type its lookup derived, not a walk.
         ty = arg.ty
         out = [_Adaptation(None, None, ty)]
         if free_tyvars(dom).isdisjoint(binders):
@@ -310,6 +312,8 @@ class _Search:
         else:
             graph = coercion_targets(self.graph, ty)
         for co, target in graph:
+            if self.typed:
+                object.__setattr__(co, "_type_memo", (self.sig, Arrow(ty, target)))
             out.append(_Adaptation(_graph_use(ty, target), co, target))
         out.extend(_Adaptation(*tr) for tr in self.transfers(arg, ty))
         return out

@@ -10,6 +10,17 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 TEST_SORTS = ["dog", "ani", "phys", "book", "info", "chair", "human", "town", "club"]
 
 
+def within_stack(call, *args):
+    """call(*args), failing the test on a RecursionError outside the handler:
+    an error raised inside it would have pytest compare the locals of its
+    thousand frames, which takes minutes, to report it."""
+    try:
+        return call(*args)
+    except RecursionError:
+        pass
+    pytest.fail(f"{call.__name__} overflowed the stack", pytrace=False)
+
+
 @pytest.fixture(scope="session")
 def fixture_dir():
     return FIXTURES

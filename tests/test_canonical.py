@@ -58,6 +58,7 @@ from polysem.syntax import (
     spine_nodes,
 )
 
+from conftest import within_stack
 from test_composer import ORACLE_LEXICON, ORACLE_TREES
 from test_hol import EXTRACT_VERDICTS
 
@@ -328,10 +329,14 @@ def test_deep_terms_within_the_default_recursion_limit(lex, shape):
     else:
         sig = register_nat(lex.signature).extend(constants={"even": Arrow(etype("nat"), PROP)})
         build = lambda: App(sig.const("even"), numeral(420))  # noqa: E731
-    expected = _reference_extract_formula(_reference_eta_expand(build(), sig), sig)
-    term = build()
-    assert eta_expand(term, sig).term is term
-    got = [extract_formula(term, sig), extract_formula(build(), sig)]  # the second without eta_expand
+
+    def walks():
+        expected = _reference_extract_formula(_reference_eta_expand(build(), sig), sig)
+        term = build()
+        assert eta_expand(term, sig).term is term
+        return expected, [extract_formula(term, sig), extract_formula(build(), sig)]  # the second without eta_expand
+
+    expected, got = within_stack(walks)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(4 * limit)  # for comparing the deep formulas only
     try:

@@ -559,6 +559,16 @@ def test_each_chain_is_built_once_per_graph():
     assert g == _chain(4) and "_chains" not in repr(g)  # the table is no part of the graph's value
 
 
+def test_a_chain_is_built_on_its_longest_kept_prefix():
+    g, s = _chain(5), [entity_sort(f"s{i}") for i in range(6)]
+    two, four = g.chain(s[0], s[2]), g.chain(s[0], s[4])
+    assert four.body.arg.arg is two.body and g.chain(s[0], s[3]).body.arg is two.body
+    assert g.chain(s[0], s[5]).body.arg is four.body and g.chain(s[1], s[2]) is g.edges[1].const
+    for t in s[1:]:
+        assert g.chain(s[0], t) == compose_path(g.path(s[0], t))
+        assert print_term(g.chain(s[0], t)) == print_term(compose_path(g.path(s[0], t)))
+
+
 # ---------------------------------------------------------------------------
 # scaling and robustness
 

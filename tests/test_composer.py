@@ -1016,15 +1016,36 @@ def test_every_lookup_the_search_makes_answers_as_before(lex, fixture_dir, monke
 def test_each_chain_is_composed_once_per_lexicon(monkeypatch):
     # the first 200 ontology items of seed 1 ask for 82 (source, target)
     # chains, 160 times in all; the graph keeps each chain it composed
-    composed, compose_path = [], coercion.compose_path
-    monkeypatch.setattr(coercion, "compose_path",
-                        lambda edges: composed.append((edges[0].source, edges[-1].target)) or compose_path(edges))
+    composed, compose = [], coercion.CoercionGraph._compose
+    monkeypatch.setattr(coercion.CoercionGraph, "_compose",
+                        lambda g, path: composed.append((path[0].source, path[-1].target)) or compose(g, path))
     workloads = load_workloads()
     w, api = workloads.make_workload("ontology", 1), workloads.make_api()
     w_lex = api.load_lexicon(w.lexicon_text)
     for item in w.items[:200]:
         w.run(api, w_lex, item.text)
     assert len(composed) == len(set(composed)) == 82
+
+
+def test_ontology_lifts_are_typed_as_built(monkeypatch):
+    # the kernel's typecheck, recursive calls included, and the names the
+    # composer and the API bind: 4,690 calls when every lift walked its chain
+    calls, typecheck = [], kernel.typecheck
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return typecheck(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "typecheck", counting)
+    monkeypatch.setattr(composer, "typecheck", counting)
+    workloads = load_workloads()
+    w, api = workloads.make_workload("ontology", 1), workloads.make_api()
+    api.typecheck = counting
+    w_lex = api.load_lexicon(w.lexicon_text)
+    calls.clear()
+    for item in w.items[:200]:
+        w.run(api, w_lex, item.text)
+    assert len(calls) <= 1_200
 
 
 def test_coherence_is_checked_once_per_lexicon(fixture_dir, monkeypatch):

@@ -35,6 +35,7 @@ from polysem.syntax import (
     parse_type,
 )
 
+from conftest import within_stack
 from formula_gen import random_formula
 
 
@@ -327,11 +328,7 @@ def test_formula_nested_at_the_limit_reads_back_as_a_term(lex, outer):
     # one frame a level: a list comprehension took a second one on Python 3.11
     n = MAX_NESTING - 1
     formula = parse_formula(outer * n + "(barks rex)" + ")" * n, lex.signature)
-    try:
-        term = formula_to_term(formula, lex.signature)
-    except RecursionError:  # not reported from here: pytest compares the locals of its thousand frames
-        term = None
-    assert term is not None, "formula_to_term overflowed the stack"
+    term = within_stack(formula_to_term, formula, lex.signature)
     one = formula_to_term(parse_formula(outer + "(barks rex))", lex.signature), lex.signature)
     for _ in range(n):
         assert term.fn == one.fn

@@ -40,6 +40,7 @@ from polysem.syntax import (
     type_from_tokens,
 )
 import reference_reader
+from conftest import within_stack
 from formula_gen import random_formula
 from random_terms import TermGenerator
 from reference_reader import _term_from_sexpr, _tree_from_sexpr, parse_sexpr, type_from_sexpr
@@ -297,4 +298,4 @@ def test_text_nested_at_the_limit(lex, depth):
         ("formula", "(forall (x e:dog) " * n + "(barks x)" + ")" * n),
         ("formula", "(not " * (n - 2) + "(∀ e:dog (lam (x e:dog) (barks x)))" + ")" * (n - 2)),
     ]:
-        assert _check(readers, kind, text) == (depth == MAX_NESTING), (kind, depth)
+        assert within_stack(_check, readers, kind, text) == (depth == MAX_NESTING), (kind, depth)

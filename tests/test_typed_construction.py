@@ -2,18 +2,23 @@
 normal form, carries the type that typecheck gives a fresh copy of it, name
 for name, since eta_expand prints binder types from the stored type.  A
 constructor given ill-typed parts raises what typecheck raises on the term
-it would build."""
+it would build.  A graph coercion is stored with its lookup's type only
+under a signature that declares every edge at its arrow."""
 
+import dataclasses
 import functools
+import random
+from collections import Counter
 
 import pytest
 
 from polysem import composer, kernel
 from polysem.cli import main
-from polysem.composer import _Search, compose, parse_tree, parse_trees
-from polysem.errors import TypeCheckError
+from polysem.coercion import check_coherence
+from polysem.composer import _Cand, _Search, compose, parse_tree, parse_trees
+from polysem.errors import TypeCheckError, TypeMismatch
 from polysem.kernel import normalize, typecheck, typed_apply
-from polysem.lexicon import builtin_signature, load_lexicon
+from polysem.lexicon import Lexicon, builtin_signature, load_lexicon
 from polysem.syntax import (
     PROP,
     App,
@@ -31,9 +36,11 @@ from polysem.syntax import (
     etype,
     parse_term,
     parse_type,
+    print_term,
     print_type,
 )
-from test_composer import ORACLE_LEXICON, ORACLE_TREES
+from test_coercion import _binder_shapes, _random_multigraph, _shapes, _sig_for
+from test_composer import ORACLE_LEXICON, ORACLE_TREES, _goal_corpus
 from test_reader import ROOT, load_workloads
 
 
@@ -306,3 +313,106 @@ def test_typecheck_passes_a_chain_of_pairs_down(sig, monkeypatch):
     monkeypatch.setattr(kernel, "typecheck", spy)
     typecheck(parse_term("(lam (x e:dog) (app barks (app (tapp id e:dog) x)))", sig), sig)
     assert len(paths) > 4 and all(len(p) in (0, 2) for p in paths)
+
+
+# ---------------------------------------------------------------------------
+# Graph coercions: typed as built from the edges the signature declares
+
+
+class _Adapting(_Search):
+    """The search, checking each graph coercion it adapts an argument with
+    as it stores it: later lookups may store another type on a kept chain.
+    `seen` counts those checked, and those spelt apart: a goal's binder
+    names are not the ones stored."""
+
+    def __init__(self, lex, seen):
+        super().__init__(lex)
+        self.seen = seen
+
+    def arg_adaptations(self, arg, dom, binders):
+        out = super().arg_adaptations(arg, dom, binders)
+        for use, wrapper, target in out:
+            if use is not None and use.kind == "graph":
+                _assert_typed(wrapper, self.sig)
+                self.seen["checked"] += 1
+                self.seen["spelt apart"] += not binders and print_type(target) != print_type(dom)
+        return out
+
+
+def _random_graph_searches(seen):
+    """On random coherent graphs, each type of test_coercion's shapes adapted
+    as an argument to every type of its shape (coercion_to) and to a type
+    variable (coercion_targets)."""
+    rng = random.Random(28)
+    for _ in range(60):
+        g = _random_multigraph(rng, rng.randrange(2, 9))
+        if not check_coherence(g).ok:
+            continue
+        sorts = sorted(g.nodes, key=str)
+        shapes = _shapes(sorts) + _binder_shapes(sorts)
+        consts = {f"k{i}": ty for i, ty in enumerate(ty for shape in shapes for ty in shape)}
+        sig = _sig_for(g).extend(constants=consts)
+        search, names = _Adapting(Lexicon(sig, g), seen), iter(consts)
+        for shape in shapes:
+            for ty in shape:
+                typecheck(arg := Const(next(names), ty), sig)
+                for dom, binders in [(goal, []) for goal in shape] + [(TyVar("a"), ["a"])]:
+                    search.arg_adaptations(_Cand(arg, (), (), None), dom, binders)
+
+
+ADAPTED = {
+    "goal corpus": lambda seen: [_Adapting(lex, seen).candidates(tree) for lex, tree in _goal_corpus(
+        load_lexicon((ROOT / "fixtures" / "english.lex").read_text(encoding="utf-8")), ROOT / "fixtures")],
+    "ontology": lambda seen: [_Adapting(lex, seen).candidates(tree)
+                              for lex, trees in _workload("ontology") for tree in trees],
+    "random graphs": _random_graph_searches,
+}
+
+
+@pytest.mark.parametrize("source", ADAPTED)
+def test_each_graph_coercion_is_stored_with_typechecks_type(source):
+    ADAPTED[source](seen := Counter())
+    assert seen["checked"] > {"goal corpus": 50, "ontology": 200, "random graphs": 4_000}[source]
+    assert seen["spelt apart"] > 100 or source != "random graphs"
+
+
+_EDGES = """sort e:a
+sort e:b
+sort e:c
+coercion ab : e:a -> e:b
+coercion bc : e:b -> e:c
+const P : (-> e:c t)
+const Q : (-> (-> e:a t) t)
+word p main P
+word q main Q
+"""
+_LIFT = "(NODE (LEAF q) (LEAF p))"
+
+
+def _misdeclared(lex):
+    """`lex` under a signature that declares the edge bc at another type."""
+    sig = lex.signature
+    return dataclasses.replace(lex, signature=sig.extend(constants={"bc": parse_type("(-> e:c t)", sig.sorts)}))
+
+
+def test_an_edge_declared_at_another_type_raises_what_typecheck_raises():
+    with pytest.raises(TypeMismatch) as e:
+        compose(parse_tree(_LIFT), _misdeclared(load_lexicon(_EDGES)))
+    assert type(e.value) is TypeMismatch
+    assert str(e.value) == "expected (-> e:c t), found (-> e:b e:c) (at fn.body.body.arg.fn)"
+
+
+@pytest.mark.parametrize("first", ["declared", "misdeclared"])
+def test_lexicons_sharing_a_graph_each_get_their_own_verdict(first):
+    good = load_lexicon(_EDGES)
+    bad, tree = _misdeclared(good), parse_tree(_LIFT)
+    assert bad.coercions is good.coercions
+    order = [good, bad] if first == "declared" else [bad, good]
+    for lex in order * 2:
+        assert _Search(lex).typed == (lex is good)
+        if lex is good:
+            assert [print_term(a.normal_term) for a in compose(tree, lex)] == [
+                "(app Q (lam (x e:a) (app P (app bc (app ab x)))))"]
+        else:
+            with pytest.raises(TypeMismatch):
+                compose(tree, lex)
