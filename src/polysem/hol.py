@@ -8,8 +8,12 @@ quantifier or a predicate.  A spine of another type may be a bare variable,
 a Hilbert choice term or a function constant applied to its arguments.  A
 variable-headed spine applied to arguments, such as a predicate variable
 bound by a quantifier over (-> e:dog t), has no formula yet and is refused
-with UnexpectedHead; a lexicon entry can produce one.  parse_formula reads
-the s-expression style back with one token walker (syntax.read_text)."""
+with UnexpectedHead; a lexicon entry can produce one.  The pass keeps the
+reading of a first-order spine on its node, so a coercion chain shared by
+many lifts is read once, and the printed text and the profile stored on its
+reading are read, not rebuilt.  parse_formula reads the s-expression style
+back with one token walker (syntax.read_text); as extraction does, it embeds
+a formula that is an argument of type t."""
 
 from __future__ import annotations
 
@@ -189,7 +193,9 @@ class LogicProfile:
 def extract_formula(m: Union[NormalForm, Term], sig: Signature) -> Formula:
     """Read a closed eta-long beta-normal term of type t as a formula; the
     reading is invertible (see formula_to_term).  The reading is made in
-    kernel.canonical's pass over the term.  Only a term that pass refuses
+    kernel.canonical's pass over the term, which reuses the reading kept on
+    a closed or first-order subterm read before, under any binder, so that
+    formulas share such parts.  Only a term that pass refuses
     goes through the checks one at a time, so that the first failing one
     names the error: closed, typed, of type t, beta-normal, eta-long, and
     last the reader's own refusals."""
@@ -475,8 +481,9 @@ def _formula_from_tokens(tok: str, nxt, depth: int, sig: Signature, env: dict[st
                     if isinstance(cur, Forall) and not args:
                         ty_args.append(type_from_tokens(t, nxt, depth, None))
                         cur = subst_type(cur.body, cur.binder, ty_args[-1])
-                    elif isinstance(cur, Arrow):
-                        args.append(_formula_from_tokens(t, nxt, depth, sig, env))
+                    elif isinstance(cur, Arrow):  # a formula argument is embedded, as _read_spine does
+                        args.append(a if isinstance(a := _formula_from_tokens(t, nxt, depth, sig, env), HolTerm)
+                                    else Embed(a))
                         cur = cur.codomain
                     else:
                         raise refuse(tok, f"too many arguments to {head}")

@@ -505,9 +505,13 @@ def canonical(term: Term, ty: Type, sig: Signature, ctx: TypingContext = EMPTY_C
     With `read`, the pass returns the term's reading, built bottom up by
     read.abstraction(term, ty, body) and read.spine(head, ty, type arguments,
     argument readings); read.head(head, ty, n) sees each spine's head before
-    its n eliminations.  A spine in no binder's scope remembers on its node,
-    per signature, that it is canonical and its reading, so that readings
-    sharing closed subterms walk each once."""
+    its n eliminations.  A spine whose verdict and reading depend on the term
+    alone remembers both on its node, per signature, and any scope reads
+    them back: a spine in no binder's scope, and on a reading pass a
+    first-order one, a constant applied to type arguments, bare variables
+    and spines whose reading was kept, which the constant's declared type
+    types whatever the binders around it.  So readings sharing such a
+    subterm, such as a coercion chain under a lift's λ, walk it once."""
     if isinstance(ty, (Arrow, Forall)):
         if isinstance(ty, Arrow) and isinstance(term, Lam):
             body = canonical(term.body, ty.codomain, sig, ctx.bind(term.binder, term.binder_type), read)
@@ -518,7 +522,7 @@ def canonical(term: Term, ty: Type, sig: Signature, ctx: TypingContext = EMPTY_C
             raise NotNormal("not an abstraction at an arrow or ∀ type")
         return read and read.abstraction(term, ty, body)
     closed = ctx is EMPTY_CONTEXT
-    memo = getattr(term, "_canonical_memo", None) if closed else None
+    memo = getattr(term, "_canonical_memo", None)
     if memo is not None and memo[0] is sig and (read is None or memo[1] is read):
         return memo[2]
     head, nodes = spine_nodes(term)
@@ -530,15 +534,18 @@ def canonical(term: Term, ty: Type, sig: Signature, ctx: TypingContext = EMPTY_C
     if read:
         read.head(head, ty, len(nodes))
     ty_args, args = [], []
+    keep = closed or read is not None and isinstance(head, Const)
     for n in nodes:
         if isinstance(n, App):
-            args.append(canonical(n.arg, cur.domain, sig, ctx, read))
+            args.append(out := canonical(n.arg, cur.domain, sig, ctx, read))
+            # a bare variable, or an argument whose reading was just kept, is typed by the head's type
+            keep = keep and (closed or isinstance(n.arg, Var) or getattr(n.arg, "_canonical_memo", (0, 0, 0))[2] is out)
             cur = cur.codomain
         else:
             ty_args.append(n.ty_arg)
             cur = subst_type(cur.body, cur.binder, n.ty_arg)
     out = read and read.spine(head, ty, ty_args, args)
-    if closed:
+    if keep:
         object.__setattr__(term, "_canonical_memo", (sig, read, out))
     return out
 

@@ -3,8 +3,8 @@ eta-long beta-normal terms of type t for the extraction round-trip suite."""
 
 import random
 
-from polysem.hol import Atom, Conn, ConstApp, Formula, Hilbert, HVar, Quant
-from polysem.syntax import Signature, etype
+from polysem.hol import Atom, Conn, ConstApp, Embed, Formula, Hilbert, HVar, Quant
+from polysem.syntax import Signature, etype, parse_type
 
 PREDICATES = {
     "heavy": ("phys",),
@@ -25,6 +25,21 @@ FUNCTIONS = {
     "townToClub": ("town", "club"),
 }
 
+# Constants taking a formula argument, drawn only where the signature
+# declares them (see with_formula_arguments); the argument is an Embed.
+FORMULA_ARGUMENT_PREDICATES = {"believes": ("t",)}
+FORMULA_ARGUMENT_FUNCTIONS = {"claimOf": ("t", "info")}
+
+
+def with_formula_arguments(sig: Signature) -> Signature:
+    """`sig` extended with the constants that take a formula argument."""
+    return sig.extend(constants={"believes": parse_type("(-> t t)", sig.sorts),
+                                 "claimOf": parse_type("(-> t e:info)", sig.sorts)})
+
+
+def _declared(sig: Signature, table: dict, extra: dict) -> dict:
+    return {**table, **extra} if all(name in sig.constants for name in extra) else table
+
 
 def random_formula(rng: random.Random, sig: Signature, depth: int = 0,
                    env: tuple = ()) -> Formula:
@@ -33,9 +48,10 @@ def random_formula(rng: random.Random, sig: Signature, depth: int = 0,
         choices += ["conn", "conn", "quant", "quant"]
     match rng.choice(choices):
         case "atom":
-            pred = rng.choice(sorted(PREDICATES))
+            preds = _declared(sig, PREDICATES, FORMULA_ARGUMENT_PREDICATES if depth < 5 else {})
+            pred = rng.choice(sorted(preds))
             args = tuple(_holterm_of_sort(rng, sig, s, env, depth)
-                         for s in PREDICATES[pred])
+                         for s in preds[pred])
             return Atom(pred, sig.constant_type(pred), (), args)
         case "conn":
             conn = rng.choice(["and", "not", "implies"])
@@ -62,13 +78,16 @@ def _grounded(sig: Signature, sort: str):
 
 def _holterm_of_sort(rng: random.Random, sig: Signature, sort: str, env: tuple,
                      depth: int):
+    if sort == "t":
+        return Embed(random_formula(rng, sig, depth + 1, env))
     in_scope = [name for name, s in env if s == sort]
     options = []
     if in_scope:
         options += ["var", "var", "var"]
     if any(s == sort for s in INDIVIDUALS.values()):
         options.append("const")
-    funs = [f for f, (_, to) in FUNCTIONS.items() if to == sort]
+    functions = _declared(sig, FUNCTIONS, FORMULA_ARGUMENT_FUNCTIONS)
+    funs = [f for f, (_, to) in functions.items() if to == sort]
     if funs and depth < 5:
         options += ["fun", "fun"]
     if depth < 5:
@@ -84,7 +103,7 @@ def _holterm_of_sort(rng: random.Random, sig: Signature, sort: str, env: tuple,
             return ConstApp(name, sig.constant_type(name), (), ())
         case "fun":
             fun = rng.choice(sorted(funs))
-            src = FUNCTIONS[fun][0]
+            src = functions[fun][0]
             arg = _holterm_of_sort(rng, sig, src, env, depth + 1)
             return ConstApp(fun, sig.constant_type(fun), (), (arg,))
         case "hilbert":

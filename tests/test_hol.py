@@ -36,7 +36,7 @@ from polysem.syntax import (
 )
 
 from conftest import within_stack
-from formula_gen import random_formula
+from formula_gen import random_formula, with_formula_arguments
 
 
 def _book_formula(lex):
@@ -195,14 +195,14 @@ def test_readback_book(lex):
 
 
 def test_readback_random_formulas(lex):
-    rng = random.Random(101)
+    rng, sig = random.Random(101), with_formula_arguments(lex.signature)
     for _ in range(100):
-        f = random_formula(rng, lex.signature)
-        term = formula_to_term(f, lex.signature)
-        assert typecheck(term, lex.signature) == PROP
-        again = extract_formula(term, lex.signature)
+        f = random_formula(rng, sig)
+        term = formula_to_term(f, sig)
+        assert typecheck(term, sig) == PROP
+        again = extract_formula(term, sig)
         assert again == f
-        assert alpha_eq(formula_to_term(again, lex.signature), term)
+        assert alpha_eq(formula_to_term(again, sig), term)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +302,23 @@ def test_parse_formula_malformed_binders(lex, text):
 
 
 def test_sexpr_roundtrip_random(lex):
-    rng = random.Random(7)
+    rng, sig = random.Random(7), with_formula_arguments(lex.signature)
     for _ in range(100):
-        f = random_formula(rng, lex.signature)
-        assert parse_formula(print_formula(f, SEXPR), lex.signature) == f
+        f = random_formula(rng, sig)
+        assert parse_formula(print_formula(f, SEXPR), sig) == f
+
+
+@pytest.mark.parametrize("text", ["(believes (barks rex))", "(barks (dogOf (barks rex)))",
+                                  "(believes (not (believes rex_barks)))"])
+def test_a_formula_argument_reads_back_embedded(lex, text):
+    # parse_formula embeds a formula in an argument of type t, as extraction does
+    sig = lex.signature.extend(constants={"believes": parse_type("(-> t t)"), "rex_barks": PROP,
+                                          "dogOf": parse_type("(-> t e:dog)", lex.signature.sorts)})
+    term = parse_term(text.replace("(", "(app ").replace("app not", "app ¬"), sig)
+    f = extract_formula(term, sig)
+    assert print_formula(f, SEXPR) == text
+    assert parse_formula(text, sig) == f
+    assert formula_to_term(parse_formula(text, sig), sig) == formula_to_term(f, sig)
 
 
 def test_shadowed_quantifier_variables(lex):

@@ -17,7 +17,8 @@ from polysem.cli import main
 from polysem.coercion import check_coherence
 from polysem.composer import _Cand, _Search, compose, parse_tree, parse_trees
 from polysem.errors import TypeCheckError, TypeMismatch
-from polysem.kernel import normalize, typecheck, typed_apply
+from polysem.hol import SEXPR, UNICODE, extract_formula, print_formula
+from polysem.kernel import copy_term, eta_expand, normalize, typecheck, typed_apply
 from polysem.lexicon import Lexicon, builtin_signature, load_lexicon
 from polysem.syntax import (
     PROP,
@@ -404,15 +405,27 @@ def test_an_edge_declared_at_another_type_raises_what_typecheck_raises():
 
 @pytest.mark.parametrize("first", ["declared", "misdeclared"])
 def test_lexicons_sharing_a_graph_each_get_their_own_verdict(first):
+    # a third lexicon declares the edges as the first does, under a signature
+    # of its own: each reads and prints its formula, kept under its signature
     good = load_lexicon(_EDGES)
     bad, tree = _misdeclared(good), parse_tree(_LIFT)
-    assert bad.coercions is good.coercions
-    order = [good, bad] if first == "declared" else [bad, good]
+    again = dataclasses.replace(good, signature=good.signature.extend())
+    assert bad.coercions is good.coercions is again.coercions
+    order = [good, bad, again] if first == "declared" else [bad, good, again]
+    text = "(app Q (lam (x e:a) (app P (app bc (app ab x)))))"
     for lex in order * 2:
-        assert _Search(lex).typed == (lex is good)
-        if lex is good:
-            assert [print_term(a.normal_term) for a in compose(tree, lex)] == [
-                "(app Q (lam (x e:a) (app P (app bc (app ab x)))))"]
+        sig = lex.signature
+        assert _Search(lex).typed == (lex is not bad)
+        if lex is not bad:
+            [a] = compose(tree, lex)
+            assert print_term(a.normal_term) == text
+            formula = extract_formula(eta_expand(a.normal_term, sig), sig)
+            assert [print_formula(formula, style) for style in (SEXPR, UNICODE)] == [
+                "(Q (lam (x e:a) (P (bc (ab x)))))", "Q(λx:a. P(bc(ab(x))))"]
+            assert formula == extract_formula(copy_term(a.normal_term), sig)
+            assert a.normal_term.arg.body.arg._canonical_memo[0] is sig  # the chain's reading
         else:
             with pytest.raises(TypeMismatch):
                 compose(tree, lex)
+            with pytest.raises(TypeMismatch):
+                extract_formula(parse_term(text, good.signature), sig)
