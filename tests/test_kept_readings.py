@@ -118,10 +118,10 @@ def _ty(sort):
 @pytest.mark.parametrize("share", ["c (f y)", "f y"])
 def test_a_spine_under_a_variable_head_is_read_in_its_own_scope(share):
     shared = _body()
-    parts = {"c (f y)": lambda sort: shared, "f y": lambda sort: App(shared.fn, shared.arg)}[share]
     for sort in ("cat", "bird", "cat"):
+        body = shared if share == "c (f y)" else App(shared.fn, shared.arg)
         want = canonical(_under(sort, _body()), _ty(sort), _SIG, read=_RECORDING)
-        assert canonical(_under(sort, parts(sort)), _ty(sort), _SIG, read=_RECORDING) == want
+        assert canonical(_under(sort, body), _ty(sort), _SIG, read=_RECORDING) == want
         assert want[3][3][2][0][2][0][1] == f"e:{sort}"  # y's reading, at its binder's sort
 
 
