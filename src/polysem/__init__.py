@@ -10,7 +10,6 @@ from .coercion import (
     BaseCoercion,
     CoercionGraph,
     check_coherence,
-    compose_path,
     find_coercion,
 )
 from .composer import (
@@ -18,8 +17,6 @@ from .composer import (
     Leaf,
     Node,
     TyAnno,
-    apply_node,
-    check_rigidity,
     compose,
     diagnose,
     parse_tree,
@@ -54,8 +51,6 @@ from .lexicon import (
     builtin_signature,
     load_lexicon,
     load_lexicon_file,
-    save_lexicon,
-    transfers_for,
 )
 from .syntax import (
     App,

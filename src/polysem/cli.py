@@ -194,13 +194,15 @@ def _io_error(msg: str) -> int:
 def cmd_lexicon_check(args) -> int:
     report = _Report("lexicon.check", args.json)
     text = _read_text(args.path)
-    problems = lexicon_problems(text)
-    if problems:
+    try:
+        lex = load_lexicon(text)
+    except PolysemError:  # the strict load stops at the first problem; the best-effort one lists them all
+        if not (problems := lexicon_problems(text)):
+            raise
         report.add({"path": args.path, "ok": False, "problems": problems},
                    [f"{args.path}: FAIL ({len(problems)} problem(s))"]
                    + [f"  {p}" for p in problems])
         return report.emit()
-    lex = load_lexicon(text)
     n_words = len(lex.entries)
     n_edges = len(lex.coercions.edges)
     report.add(

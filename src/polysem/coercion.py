@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .errors import BrokenChain, IncoherentGraph
+from .errors import IncoherentGraph
 from .syntax import App, Arrow, Base, Const, Lam, Sort, Term, Type, Var, fresh_name, free_vars
 from .kernel import substitute
 
@@ -160,16 +160,16 @@ class CoercionGraph:
         return tuple(out) or None
 
     def chain(self, source: Sort, target: Sort) -> Optional[Term]:
-        """compose_path of the path source ~> target, or None: built on first
-        use and kept, so each pair's chain is one term for the graph's life."""
+        """The chain of the path source ~> target as a term, or None: built on
+        first use and kept, so each pair's chain is one term for the graph's life."""
         key = source, target
         if key not in self._chains:
             self._chains[key] = (path := self.path(source, target)) and self._compose(path)
         return self._chains[key]
 
     def _compose(self, path: Path) -> Term:
-        """compose_path(path), unchecked (a path chains), its body built on the body
-        of the longest proper prefix whose chain is kept, one App per edge past it."""
+        """A path of one edge is its constant, a longer one lam x. e_n (... (e_1 x)),
+        built on the body of the longest proper prefix whose chain is kept, one App per edge past it."""
         if len(path) == 1:
             return path[0].const
         source, k = path[0].source, len(path) - 1
@@ -206,23 +206,6 @@ def _witnesses(g: CoercionGraph, source: Sort, target: Sort) -> tuple[Path, Path
 def check_coherence(g: CoercionGraph) -> CoherenceReport:
     """The graph's coherence report, computed on the first call per graph."""
     return g.coherence
-
-
-def compose_path(edges: list[BaseCoercion]) -> Term:
-    """A chained edge path as a term: a singleton path is the coercion
-    constant itself, a longer one lam x. e_n (... (e_1 x)).  An empty path is
-    rejected: the identity is the lookup's business."""
-    if not edges:
-        raise BrokenChain("empty coercion path")
-    for left, right in zip(edges, edges[1:]):
-        if left.target != right.source:
-            raise BrokenChain(f"{left.name}: ...->{left.target} does not chain with {right.name}: {right.source}->...")
-    if len(edges) == 1:
-        return edges[0].const
-    body: Term = Var("x")
-    for edge in edges:
-        body = App(edge.const, body)
-    return Lam("x", Base(edges[0].source), body)
 
 
 def coerce_app(co: Term, arg: Term) -> Term:

@@ -162,34 +162,14 @@ class Use(NamedTuple):
     kind: str  # "main" | "graph" | "transfer"
 
 
-UsageMap = dict[Occurrence, tuple[Use, ...]]
-
-
-@dataclass(frozen=True)
-class RigidityViolation:
-    occurrence: Occurrence
-
-
 def _licit(uses: tuple[Use, ...]) -> bool:
     """Only the plain main reading, exactly one rigid label, or any mix of
     flexible adaptations with the main reading."""
     return all(u.rigidity != RIGID for u in uses) or len({u.label for u in uses}) == 1
 
 
-def check_rigidity(used: UsageMap):
-    """None when every occurrence's adaptation set is licit."""
-    for occ, uses in used.items():
-        if not _licit(uses):
-            return RigidityViolation(occ)
-    return None
-
-
 def _graph_use(source: Type, target: Type) -> Use:
     return Use(f"graph:{print_type(source)}->{print_type(target)}", FLEXIBLE, "graph")
-
-
-def _labels(used) -> dict[str, tuple[str, ...]]:
-    return {str(occ): tuple(u.label for u in uses) for occ, uses in used}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +185,7 @@ class Analysis:
     inserted_coercions: tuple[tuple[Occurrence, Term], ...]
 
     def labels(self) -> dict[str, tuple[str, ...]]:
-        return _labels(self.used_transfers.items())
+        return {str(occ): tuple(u.label for u in uses) for occ, uses in self.used_transfers.items()}
 
 
 @dataclass(frozen=True)
@@ -515,20 +495,6 @@ def compose_with_failures(tree: ParseTree, lex: Lexicon, limit: int
         if len(analyses) >= limit:
             break
     return analyses, DiagnoseReport(() if analyses else tuple(search.failures))
-
-
-def apply_node(fn_term: Term, arg_term: Term, lex: Lexicon,
-               fn_word: Optional[str] = None, arg_word: Optional[str] = None
-               ) -> list[tuple[Term, dict]]:
-    """Apply one closed well-typed term to another, enumerating successful
-    adapted applications; each result is (term, adaptation record)."""
-    search = _Search(lex)
-    sig = lex.signature
-    for term in (fn_term, arg_term):
-        typecheck(term, sig)  # remembered on the node, where the search reads it
-    fn = _Cand(fn_term, (), (), Occurrence((0,), fn_word) if fn_word else None)
-    arg = _Cand(arg_term, (), (), Occurrence((1,), arg_word) if arg_word else None)
-    return [(cand.term, _labels(cand.uses)) for cand in search.apply_node(fn, arg, ())]
 
 
 def diagnose(tree: ParseTree, lex: Lexicon) -> DiagnoseReport:

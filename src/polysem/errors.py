@@ -67,10 +67,6 @@ class IncoherentGraph(CoercionError):
     """find_coercion was called on a graph that fails the coherence check."""
 
 
-class BrokenChain(CoercionError):
-    """compose_path was given a non-chaining (or empty) edge list."""
-
-
 class LexiconError(PolysemError):
     pass
 

@@ -24,7 +24,6 @@ from .syntax import (
     SetOf,
     Signature,
     Term,
-    TyApp,
     TyVar,
     Type,
     apps,
@@ -184,11 +183,3 @@ def register_finset(sig: Signature) -> Signature:
         },
         rules=SET_RULES,
     )
-
-
-def finite_set(elems: list[Term], elem_ty: Type) -> Term:
-    """InsertS[T] x1 (... (EmptyS[T]))."""
-    out: Term = TyApp(Const(EMPTY_SET, Forall("a", SetOf(TyVar("a")))), elem_ty)
-    for x in reversed(elems):
-        out = apps(Const(INSERT, _insert_type()), elem_ty, x, out)
-    return out

@@ -30,7 +30,7 @@ from .errors import (
     TypeErrorInEntry,
     UnknownWord,
 )
-from .inductives import NAT_SORT, register_finset, register_nat
+from .inductives import register_finset, register_nat
 from .kernel import EMPTY_CONTEXT, copy_term, expand_definitions, typecheck
 from .syntax import (
     ATOM,
@@ -48,7 +48,6 @@ from .syntax import (
     entity_sort,
     parse_term,
     parse_type,
-    print_term,
     print_type,
 )
 
@@ -99,10 +98,6 @@ class TransferTerm:
     rigidity: str  # RIGID | FLEXIBLE
     ty: Type  # closed, computed when the lexicon loads
 
-    @property
-    def rigid(self) -> bool:
-        return self.rigidity == RIGID
-
 
 @dataclass(frozen=True)
 class LexEntry:
@@ -123,11 +118,6 @@ class Lexicon:
             return self.entries[word]
         except KeyError:
             raise UnknownWord(word) from None
-
-
-def transfers_for(lex: Lexicon, word: str) -> list[TransferTerm]:
-    """The word's declared transfers, in file order (possibly empty)."""
-    return list(lex.entry(word).transfers)
 
 
 def _closed_typed(term_txt: str, sig: Signature, word: str, lineno: int, col: int) -> tuple[Term, Type]:
@@ -345,33 +335,3 @@ def _load(text: str, best_effort: bool) -> tuple[Lexicon, list[str]]:
 def load_lexicon_file(path) -> Lexicon:
     with open(path, encoding="utf-8") as fh:
         return load_lexicon(fh.read())
-
-
-_BUILTIN_CONSTANTS = frozenset(builtin_signature().constants)
-
-
-def save_lexicon(lex: Lexicon) -> str:
-    """Render a lexicon back to the document format (inverse of load up to
-    alpha-equivalence of the entry terms)."""
-    lines: list[str] = []
-    if NAT_SORT in lex.signature.sorts:
-        lines.append("use nat")
-    if lex.signature.has_constant("FoldS"):
-        lines.append("use finset")
-    edge_names = {e.name for e in lex.coercions.edges}
-    inductive_sorts = {NAT_SORT}
-    for sort in lex.signature.entity_sorts():
-        if sort not in inductive_sorts:
-            lines.append(f"sort e:{sort.name}")
-    for e in lex.coercions.edges:
-        lines.append(f"coercion {e.name} : e:{e.source.name} -> e:{e.target.name}")
-    inductive_consts = {"Zero", "Succ", "RecN", "EmptyS", "InsertS", "FoldS"}
-    for name, ty in lex.signature.constants.items():
-        if name in _BUILTIN_CONSTANTS or name in edge_names or name in inductive_consts:
-            continue
-        lines.append(f"const {name} : {print_type(ty)}")
-    for entry in lex.entries.values():
-        lines.append(f"word {entry.word} main {print_term(entry.main_term)}")
-        for tr in entry.transfers:
-            lines.append(f"word-transfer {entry.word} {tr.label} {tr.rigidity} {print_term(tr.term)}")
-    return "\n".join(lines) + "\n"

@@ -524,9 +524,6 @@ class Signature:
         return Signature(sorts=self.sorts | frozenset(sorts), constants={**self.constants, **(constants or {})},
                          definitions={**self.definitions, **(definitions or {})}, rules=self.rules + tuple(rules))
 
-    def entity_sorts(self) -> list[Sort]:
-        return sorted((s for s in self.sorts if s.kind == "entity"), key=lambda s: s.name)
-
 
 # ---------------------------------------------------------------------------
 # The reader.  In a located walk a part's error waits for the check of each list around it, and a list

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from polysem.inductives import FOLD_SET, NAT, REC_NAT, finite_set, numeral
+from polysem.inductives import EMPTY_SET, FOLD_SET, INSERT, NAT, REC_NAT, _insert_type, numeral
 from polysem.kernel import subst_type, typecheck
 from polysem.syntax import (
     App,
@@ -27,6 +27,7 @@ from polysem.syntax import (
     Forall,
     Lam,
     PROP,
+    SetOf,
     Signature,
     Term,
     TyApp,
@@ -38,6 +39,14 @@ from polysem.syntax import (
     free_tyvars,
     print_type,
 )
+
+
+def finite_set(elems: list[Term], elem_ty: Type) -> Term:
+    """InsertS[T] x1 (... (EmptyS[T])): the finite set of `elems`, of sort T."""
+    out: Term = TyApp(Const(EMPTY_SET, Forall("a", SetOf(TyVar("a")))), elem_ty)
+    for x in reversed(elems):
+        out = apps(Const(INSERT, _insert_type()), elem_ty, x, out)
+    return out
 
 
 @dataclass
@@ -65,7 +74,7 @@ class TermGenerator:
             choices.append("tyvar")
         match self.rng.choice(choices):
             case "base":
-                bases = [PROP] + [Base(s) for s in self.sig.entity_sorts()]
+                bases = [PROP] + [Base(s) for s in sorted(self.sig.sorts, key=lambda s: s.name) if s.kind == "entity"]
                 return self.rng.choice(bases)
             case "tyvar":
                 return TyVar(self.rng.choice(tyvars))

@@ -3,16 +3,34 @@ function over the graph's chain table: `find_coercion` (any arrow domain,
 identity included, lifting at the target's domain) and `coercion_to` (base
 sorts only on the contravariant side, no identity, keeping the source's own
 domain where it is not coerced).  Each composes its path again on every
-lookup.  test_coercion.py and test_composer.py compare the library with
+lookup, by `compose_path`, the builder that the graph's kept chains
+replaced.  test_coercion.py and test_composer.py compare the library with
 them, by the prints of their answers (`shown`)."""
 
 from __future__ import annotations
 
 from typing import Optional
 
-from polysem.coercion import CoercionGraph, coerce_app, compose_path
+from polysem.coercion import BaseCoercion, CoercionGraph, coerce_app
 from polysem.errors import IncoherentGraph
 from polysem.syntax import App, Arrow, Base, Lam, Term, Type, Var, fresh_name, free_vars, print_term, print_type
+
+
+def compose_path(edges: list[BaseCoercion]) -> Term:
+    """A chained edge path as a term: a singleton path is the coercion
+    constant itself, a longer one lam x. e_n (... (e_1 x)).  An empty path is
+    rejected: the identity is the lookup's business."""
+    if not edges:
+        raise ValueError("empty coercion path")
+    for left, right in zip(edges, edges[1:]):
+        if left.target != right.source:
+            raise ValueError(f"{left.name}: ...->{left.target} does not chain with {right.name}: {right.source}->...")
+    if len(edges) == 1:
+        return edges[0].const
+    body: Term = Var("x")
+    for edge in edges:
+        body = App(edge.const, body)
+    return Lam("x", Base(edges[0].source), body)
 
 
 def find_coercion(g: CoercionGraph, source: Type, target: Type) -> Optional[Term]:

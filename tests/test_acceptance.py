@@ -10,7 +10,7 @@ from polysem.cli import search_false
 from polysem.coercion import BaseCoercion, CoercionGraph, check_coherence
 from polysem.composer import compose, diagnose, parse_tree, parse_trees
 from polysem.hol import LogicProfile, classify, extract_formula, print_formula
-from polysem.inductives import FOLD_SET, NAT, finite_set, numeral, numeral_value, register_finset, register_nat
+from polysem.inductives import FOLD_SET, NAT, numeral, numeral_value, register_finset, register_nat
 from polysem.kernel import (
     LEFTMOST_OUTERMOST,
     RIGHTMOST_INNERMOST,
@@ -20,7 +20,7 @@ from polysem.kernel import (
     typecheck,
 )
 from polysem.lexicon import AND_SOURCE, builtin_signature, load_lexicon
-from random_terms import generate_corpus
+from random_terms import finite_set, generate_corpus
 from polysem.syntax import (
     App,
     PROP,

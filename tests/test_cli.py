@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from polysem import cli, composer, kernel
+from polysem import cli, composer, kernel, lexicon
 from polysem.cli import main, search_false
 from polysem.kernel import typecheck
 from polysem.lexicon import builtin_signature
@@ -36,6 +36,20 @@ def test_lexicon_check_ok(capsys, lex_path):
     code, out = _run(capsys, ["lexicon", "check", lex_path])
     assert code == 0
     assert "ok" in out
+
+
+def test_lexicon_check_loads_a_valid_lexicon_once(capsys, lex_path, fixture_dir, tmp_path, monkeypatch):
+    calls = []
+    load = lexicon._load
+    monkeypatch.setattr(lexicon, "_load", lambda text, best_effort: calls.append(best_effort) or load(text, best_effort))
+    assert _run(capsys, ["lexicon", "check", lex_path])[0] == 0
+    assert calls == [False]
+    # an invalid one is loaded again, best effort, for the list of its problems
+    bad = tmp_path / "bad.lex"
+    bad.write_text((fixture_dir / "english.lex").read_text() + "word Rex main rex\n", encoding="utf-8")
+    code, out = _run(capsys, ["lexicon", "check", str(bad)])
+    assert code == 1 and "FAIL (1 problem(s))" in out
+    assert calls == [False, False, True]
 
 
 def test_lexicon_check_missing_file(capsys):

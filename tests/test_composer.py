@@ -22,8 +22,6 @@ from polysem.composer import (
     TyAnno,
     Use,
     DEFAULT_LIMIT,
-    apply_node,
-    check_rigidity,
     compose,
     compose_with_failures,
     diagnose,
@@ -153,7 +151,18 @@ def test_limit_respected(lex):
 
 
 # ---------------------------------------------------------------------------
-# apply_node
+# _Search.apply_node
+
+
+def apply_node(fn_term, arg_term, lex, fn_word=None, arg_word=None):
+    """One application edge of a fresh search over two closed well-typed
+    terms: each adapted application as (term, adaptation record)."""
+    for term in (fn_term, arg_term):
+        typecheck(term, lex.signature)  # remembered on the node, where the search reads it
+    fn = composer._Cand(fn_term, (), (), Occurrence((0,), fn_word) if fn_word else None)
+    arg = composer._Cand(arg_term, (), (), Occurrence((1,), arg_word) if arg_word else None)
+    return [(cand.term, {str(occ): tuple(u.label for u in uses) for occ, uses in cand.uses})
+            for cand in _Search(lex).apply_node(fn, arg, ())]
 
 
 def test_apply_coerces_argument(lex):
@@ -190,11 +199,16 @@ def test_apply_instantiates_quantifier(lex):
 
 
 # ---------------------------------------------------------------------------
-# check_rigidity
+# rigidity: the rule the search applies to each occurrence's uses
 
 
 def _occ(word):
     return Occurrence((0,), word)
+
+
+def check_rigidity(used):
+    """The first occurrence whose uses composer._licit refuses, or None."""
+    return next((occ for occ, uses in used.items() if not composer._licit(uses)), None)
 
 
 def test_rigidity_flexible_pair_ok():
@@ -208,7 +222,7 @@ def test_rigidity_rigid_plus_other_blocked():
                                 Use(MAIN, None, "main"))}
     violation = check_rigidity(used)
     assert violation is not None
-    assert violation.occurrence.word == "Liverpool"
+    assert violation.word == "Liverpool"
 
 
 def test_rigidity_single_rigid_ok():

@@ -1,5 +1,6 @@
 """Source hygiene: every module uses each name it imports and takes no other
-module's private names, and every top-level definition is used or exported."""
+module's private names, every top-level definition is used or exported, and
+every exported name is read outside the tests or is a documented entry point."""
 
 import ast
 import pathlib
@@ -31,21 +32,39 @@ def test_no_private_name_imported_from_another_module(path):
     assert private == set()
 
 
-# Top-level definitions that no module of the package uses and __init__ does
-# not export, kept because the tests use them: a builder.
-UNUSED_ALLOWED = {("inductives", "finite_set")}
-
-
-def test_every_definition_is_used_or_exported():
-    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
-    used = set()  # every name read anywhere, except by the definition of that name itself
-    for tree in trees.values():
-        for top in tree.body:
+def _reads(paths) -> set[str]:
+    """Every name read in the files, as a name or an attribute, except by the
+    top-level definition of that name itself."""
+    used = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
             own = getattr(top, "name", None)
             used |= {node.id for node in ast.walk(top) if isinstance(node, ast.Name) and node.id != own}
             used |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr != own}
-    unused = {(stem, top.name) for stem, tree in trees.items() for top in tree.body
+    return used
+
+
+def _exported() -> set[str]:
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_definition_is_used_or_exported():
+    used, exported = _reads(MODULES), _exported()
+    unused = {(path.stem, top.name) for path in MODULES for top in ast.parse(path.read_text(encoding="utf-8")).body
               if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in used | exported}
-    assert unused - UNUSED_ALLOWED == set()
+    assert unused == set()
+
+
+# Exported names that no caller outside the tests reads: documented entry points of the library.
+ENTRY_POINTS = {
+    "numeral": "builds the Goedel-T numeral of n for a library user, the inverse of numeral_value",
+    "parse_formula": "the documented formula reader (README, Grammars), the inverse of print_formula",
+}
+
+
+def test_every_export_is_read_outside_the_tests():
+    root = SRC.parent.parent
+    callers = MODULES + [path for folder in ("perfbench", "scripts") for path in sorted((root / folder).glob("*.py"))
+                         if not path.name.startswith("test_")]
+    assert _exported() - _reads(callers) == set(ENTRY_POINTS)

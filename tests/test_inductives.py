@@ -11,7 +11,6 @@ from polysem.inductives import (
     NAT_RULES,
     REC_NAT,
     SET_RULES,
-    finite_set,
     numeral,
     numeral_value,
     register_finset,
@@ -35,6 +34,7 @@ from polysem.syntax import (
     parse_term,
     parse_type,
 )
+from random_terms import finite_set
 
 
 @pytest.fixture(scope="module")

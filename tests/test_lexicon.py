@@ -10,16 +10,16 @@ from polysem.errors import (
     TypeErrorInEntry,
     UnknownWord,
 )
+from polysem.inductives import NAT_SORT
 from polysem.kernel import typecheck
 from polysem.lexicon import (
     AND_SOURCE,
+    RIGID,
     builtin_signature,
     lexicon_problems,
     load_lexicon,
-    save_lexicon,
-    transfers_for,
 )
-from polysem.syntax import alpha_eq, parse_term, parse_type
+from polysem.syntax import alpha_eq, parse_term, parse_type, print_term, print_type
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +63,16 @@ def test_fixture_loads(lex):
 
 
 def test_book_transfers(lex):
-    labels = [(t.label, t.rigidity) for t in transfers_for(lex, "book")]
+    labels = [(t.label, t.rigidity) for t in lex.entry("book").transfers]
     assert labels == [("f0", "flexible"), ("g0", "flexible")]
 
 
 def test_sleeps_has_no_transfers(lex):
-    assert transfers_for(lex, "sleeps") == []
+    assert lex.entry("sleeps").transfers == ()
 
 
 def test_liverpool_transfer_is_rigid(lex):
-    labels = [(t.label, t.rigidity) for t in transfers_for(lex, "Liverpool")]
+    labels = [(t.label, t.rigidity) for t in lex.entry("Liverpool").transfers]
     assert labels == [("townToClub", "rigid")]
 
 
@@ -83,12 +83,12 @@ def test_entry_types_stored_at_load(lex):
         for tr in entry.transfers:
             assert tr.ty == typecheck(tr.term, lex.signature)
     assert lex.entry("and").ty == lex.signature.constant_type("AND")
-    assert transfers_for(lex, "book")[0].ty == parse_type("(-> e:book e:info)")
+    assert lex.entry("book").transfers[0].ty == parse_type("(-> e:book e:info)")
 
 
 def test_unknown_word(lex):
     with pytest.raises(UnknownWord):
-        transfers_for(lex, "martian")
+        lex.entry("martian")
 
 
 def test_all_entries_typecheck(lex):
@@ -114,7 +114,7 @@ word-transfer Liverpool townToClub rigid townToClub
 
 def test_minimal_lexicon_loads():
     lex = load_lexicon(MINI)
-    assert transfers_for(lex, "Liverpool")[0].rigid
+    assert lex.entry("Liverpool").transfers[0].rigidity == RIGID
 
 
 def test_duplicate_word_rejected():
@@ -253,6 +253,34 @@ def test_pragma_lexicon_roundtrip():
 
 # ---------------------------------------------------------------------------
 # save / load round trip
+
+_BUILTIN_CONSTANTS = frozenset(builtin_signature().constants)
+_INDUCTIVE_CONSTANTS = {"Zero", "Succ", "RecN", "EmptyS", "InsertS", "FoldS"}
+
+
+def save_lexicon(lex):
+    """Render a lexicon back to the document format (inverse of load up to
+    alpha-equivalence of the entry terms)."""
+    lines: list[str] = []
+    if NAT_SORT in lex.signature.sorts:
+        lines.append("use nat")
+    if lex.signature.has_constant("FoldS"):
+        lines.append("use finset")
+    for sort in sorted(lex.signature.sorts, key=lambda s: s.name):
+        if sort.kind == "entity" and sort != NAT_SORT:
+            lines.append(f"sort e:{sort.name}")
+    for e in lex.coercions.edges:
+        lines.append(f"coercion {e.name} : e:{e.source.name} -> e:{e.target.name}")
+    edge_names = {e.name for e in lex.coercions.edges}
+    for name, ty in lex.signature.constants.items():
+        if name in _BUILTIN_CONSTANTS or name in edge_names or name in _INDUCTIVE_CONSTANTS:
+            continue
+        lines.append(f"const {name} : {print_type(ty)}")
+    for entry in lex.entries.values():
+        lines.append(f"word {entry.word} main {print_term(entry.main_term)}")
+        for tr in entry.transfers:
+            lines.append(f"word-transfer {entry.word} {tr.label} {tr.rigidity} {print_term(tr.term)}")
+    return "\n".join(lines) + "\n"
 
 
 def test_save_load_roundtrip(lex):
