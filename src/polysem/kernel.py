@@ -39,6 +39,7 @@ from .syntax import (
     free_tyvars_in_term,
     free_vars,
     fresh_name,
+    spine,
     spine_nodes,
 )
 
@@ -374,9 +375,10 @@ def is_beta_normal(term: Term, sig: Signature) -> bool:
 def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
               strategy: str = LEFTMOST_OUTERMOST) -> NormalForm:
     """Beta-normalize (including type-beta and recursor rules) by the contractions
-    of iterating reduce_once, in its order, at most `fuel` in the call, counted in
-    `steps`.  The normal form of a λ/Λ body or of an argument but a recursor's
-    scrutinee is remembered on its node per signature and strategy, and then costs no steps."""
+    of iterating reduce_once, the stepper, in its order, at most `fuel` in the call,
+    counted in `steps`.  A recursor redex is rewritten by the rule found for it.
+    The normal form of a λ/Λ body or of an argument but a recursor's scrutinee
+    is remembered on its node per signature and strategy, and then costs no steps."""
     if strategy not in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
         raise ValueError(f"unknown strategy {strategy!r}")
     left = [fuel, fuel]
@@ -384,12 +386,13 @@ def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
     return NormalForm(inherit_type(out, term, sig), fuel - left[0])
 
 
-def _fire(redex: Term, rest: list, sig: Signature, fuel: list) -> Term:
-    """Contract `redex`, spending one of `fuel`'s [left, allowed], and reapply `rest`."""
+def _fire(redex: Term, rest: list, sig: Signature, fuel: list, rule=None) -> Term:
+    """Contract `redex`, spending one of `fuel`'s [left, allowed], and reapply `rest`.
+    The recursor `rule` the caller found for `redex` rewrites it at once; else the stepper does."""
     if fuel[0] <= 0:
         raise FuelExhausted(f"no normal form within {fuel[1]} steps")
     fuel[0] -= 1
-    term = reduce_once(redex, sig, LEFTMOST_OUTERMOST)
+    term = rule.rewrite(redex.fn, spine(redex)[1], spine(redex.arg)[1]) if rule else reduce_once(redex, sig)
     for n in rest:
         term = App(term, n.arg) if isinstance(n, App) else TyApp(term, n.ty_arg)
     return term
@@ -447,8 +450,8 @@ def _lo(term: Term, sig: Signature, fuel: list, stop: Optional[str] = None) -> T
         k = _scrutinee(head, nodes, sig)
         if nodes and isinstance(head, (Lam, TyLam)) and isinstance(nodes[0], App if isinstance(head, Lam) else TyApp):
             t = _fire_run(head, nodes, sig, fuel)
-        elif k is not None and _rule_for(head.name, nodes[k].arg, sig):
-            t = _fire(nodes[k], nodes[k + 1:], sig, fuel)
+        elif k is not None and (rule := _rule_for(head.name, nodes[k].arg, sig)):
+            t = _fire(nodes[k], nodes[k + 1:], sig, fuel, rule)
         else:
             out = head
             if isinstance(head, (Lam, TyLam)):
@@ -460,8 +463,8 @@ def _lo(term: Term, sig: Signature, fuel: list, stop: Optional[str] = None) -> T
                     continue
                 arg = _lo(n.arg, sig, fuel, head.name if i == k else None)
                 out = n if out is n.fn and arg is n.arg else App(out, arg)
-                if i == k and _rule_for(head.name, arg, sig):
-                    t = _fire(out, nodes[i + 1:], sig, fuel)
+                if i == k and (rule := _rule_for(head.name, arg, sig)):
+                    t = _fire(out, nodes[i + 1:], sig, fuel, rule)
                     break
             else:
                 return out if stop else _remember(term, out, sig, LEFTMOST_OUTERMOST)
@@ -485,10 +488,11 @@ def _ri(term: Term, sig: Signature, fuel: list) -> Term:
             fn = _ri(out.fn, sig, fuel)
             out = out if fn is out.fn else TyApp(fn, out.ty_arg)
         # the function and argument are normal: only the node can be a redex
-        if not (isinstance(out, App) and isinstance(out.fn, Lam) or isinstance(out, TyApp)
-                and isinstance(out.fn, TyLam) or sig.rules and _root_rule(out, sig)):
+        rule = sig.rules and _root_rule(out, sig)
+        if not (rule or isinstance(out, App) and isinstance(out.fn, Lam)
+                or isinstance(out, TyApp) and isinstance(out.fn, TyLam)):
             return _remember(term, out, sig, RIGHTMOST_INNERMOST)
-        out = _fire(out, [], sig, fuel)
+        out = _fire(out, [], sig, fuel, rule)
 
 
 # ---------------------------------------------------------------------------

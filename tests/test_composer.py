@@ -7,6 +7,7 @@ networkx path enumeration for coercions; it shares none of the composer's
 search machinery.
 """
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -30,7 +31,7 @@ from polysem.composer import (
     _Search,
 )
 from polysem.errors import FuelExhausted, IllFormedType, TypeCheckError, UnknownWord
-from polysem.inductives import register_finset, register_nat
+from polysem.inductives import InductiveRule, register_finset, register_nat
 from polysem.kernel import (
     LEFTMOST_OUTERMOST,
     RIGHTMOST_INNERMOST,
@@ -720,21 +721,99 @@ def test_shared_normal_forms_match_kernel_on_recursor_corpus():
     _assert_memo_agrees([parse_term(text, sig) for text in RECURSOR_CORPUS.values()], sig)
 
 
+def _recording_rules(sig, calls):
+    """`sig` with each recursor rule's rewrite appending what it returns to `calls`."""
+    def record(rewrite):
+        return lambda *args: calls.append(rewrite(*args)) or calls[-1]
+    return dataclasses.replace(sig, rules=tuple(dataclasses.replace(r, rewrite=record(r.rewrite)) for r in sig.rules))
+
+
 @pytest.mark.parametrize("strategy", [LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST])
 @pytest.mark.parametrize("name", RECURSOR_CORPUS)
 def test_normalize_contracts_what_the_stepper_contracts(name, strategy, monkeypatch):
-    # every reduce_once call that normalize makes contracts a redex, and it
-    # makes as many as the plain stepper contracts
+    # normalize contracts a β-redex by reduce_once and a recursor redex by its
+    # rule's rewrite: no call at either point is a no-op, and together they
+    # make as many contractions as the plain stepper
     sig, text = _recursor_signature(), RECURSOR_CORPUS[name]
     steps, term = 0, parse_term(text, sig)
     while (term := reduce_once(term, sig, strategy)) is not None:
         steps += 1
     calls = []
+    sig = _recording_rules(sig, calls)
     step = kernel.reduce_once
     monkeypatch.setattr(kernel, "reduce_once", lambda *args: calls.append(step(*args)) or calls[-1])
     normalize(parse_term(text, sig), sig, strategy=strategy)
     assert None not in calls
     assert len(calls) == steps > 0
+
+
+def _arith_terms(count):
+    """The first `count` items of the arith workload, seed 1, read as its run
+    reads them, and their signature."""
+    workloads = load_workloads()
+    w, api = workloads.make_workload("arith", 1), workloads.make_api()
+    sig = api.load_lexicon(w.lexicon_text).signature
+    return [api.expand_definitions(parse_term(item.text, sig), sig) for item in w.items[:count]], sig
+
+
+def _rule_corpus(name):
+    if name == "recursor":
+        sig = _recursor_signature()
+        return [parse_term(text, sig) for text in RECURSOR_CORPUS.values()], sig
+    if name == "random":
+        base = register_finset(register_nat(builtin_signature()))
+        base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+        return generate_corpus(base, seed=4242, count=1000, use_inductives=True)
+    return _arith_terms(200)
+
+
+@pytest.mark.parametrize("corpus", ["recursor", "random", "arith"])
+def test_rule_firings_match_the_dispatch_they_replace(corpus, monkeypatch):
+    # normalize fires the rule it found for a recursor redex; the stepper's
+    # dispatch finds the same rule by _root_rule, and its try_rewrite gives a
+    # contractum that prints the same and reuses the same prefix node
+    terms, sig = _rule_corpus(corpus)
+    fired, fire = [], kernel._fire
+
+    def checked(redex, rest, sig, fuel, rule=None):
+        out = contractum = fire(redex, rest, sig, fuel, rule)
+        if rule:
+            for _ in rest:
+                contractum = contractum.fn
+            expected = rule.try_rewrite(redex)
+            assert kernel._root_rule(redex, sig) is rule
+            assert print_term(contractum) == print_term(expected)
+            # a base rule returns the redex's own argument, a step rule reapplies its prefix
+            assert contractum is expected or contractum.arg.fn is expected.arg.fn is redex.fn
+            fired.append(rule)
+        return out
+
+    monkeypatch.setattr(kernel, "_fire", checked)
+    for strategy in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
+        fired.clear()
+        for term in map(_typed_fresh, terms, [sig] * len(terms)):
+            normalize(term, sig, strategy=strategy)
+        assert {rule.constructor for rule in fired} == {rule.constructor for rule in sig.rules}
+
+
+def test_arith_fires_each_rule_without_a_second_dispatch(monkeypatch):
+    # over the first 40 arith items normalize neither asks _root_rule for a
+    # rule nor has try_rewrite match the redex again, and it contracts as
+    # many redexes as the stepper
+    terms, sig = _arith_terms(40)
+    stepper = 0
+    for term in terms:
+        while (term := reduce_once(term, sig)) is not None:
+            stepper += 1
+    calls = []
+    monkeypatch.setattr(InductiveRule, "try_rewrite", lambda *args: calls.append("try_rewrite"))
+    monkeypatch.setattr(kernel, "_root_rule", lambda *args: calls.append("_root_rule"))
+    steps = 0
+    for term in terms:
+        typecheck(term, sig)
+        steps += normalize(term, sig).steps
+    assert calls == []
+    assert steps == stepper
 
 
 def _typed_fresh(term, sig):
@@ -748,10 +827,11 @@ def _typed_fresh(term, sig):
 def _batched(terms, sig, monkeypatch, strategy=LEFTMOST_OUTERMOST) -> int:
     """Normalise each term as the stepper does under `strategy`: the same print,
     `steps` the stepper's count, and the fuel running out at that count.
-    Returns the contractions normalize made without calling reduce_once."""
+    Returns the contractions normalize made in runs, by neither reduce_once nor a rule's rewrite."""
     calls = []
     step = kernel.reduce_once
     monkeypatch.setattr(kernel, "reduce_once", lambda *args: calls.append(1) or step(*args))
+    sig = _recording_rules(sig, calls)
     batched = 0
     for term in terms:
         steps, stepped = 0, _fresh(term, sig)
