@@ -377,8 +377,10 @@ def normalize(term: Term, sig: Signature, fuel: int = DEFAULT_FUEL,
     """Beta-normalize (including type-beta and recursor rules) by the contractions
     of iterating reduce_once, the stepper, in its order, at most `fuel` in the call,
     counted in `steps`.  A recursor redex is rewritten by the rule found for it.
-    The normal form of a λ/Λ body or of an argument but a recursor's scrutinee
-    is remembered on its node per signature and strategy, and then costs no steps."""
+    A closed redex's contractum keeps the redex's stored type, so a rule's recursive
+    call counts as a closed argument of the step function's run.  The normal form
+    of a λ/Λ body or of an argument but a recursor's scrutinee is remembered on
+    its node per signature and strategy, and then costs no steps."""
     if strategy not in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
         raise ValueError(f"unknown strategy {strategy!r}")
     left = [fuel, fuel]
@@ -393,6 +395,9 @@ def _fire(redex: Term, rest: list, sig: Signature, fuel: list, rule=None) -> Ter
         raise FuelExhausted(f"no normal form within {fuel[1]} steps")
     fuel[0] -= 1
     term = rule.rewrite(redex.fn, spine(redex)[1], spine(redex.arg)[1]) if rule else reduce_once(redex, sig)
+    # a step rule's recursive call reuses the redex's prefix: it has the redex's type, and is closed with it
+    if rule and isinstance(term, App) and getattr(term.arg, "fn", None) is redex.fn and hasattr(redex, "_type_memo"):
+        object.__setattr__(term.arg, "_type_memo", redex._type_memo)
     for n in rest:
         term = App(term, n.arg) if isinstance(n, App) else TyApp(term, n.ty_arg)
     return term
@@ -420,6 +425,8 @@ def _fire_run(head: Term, nodes: list, sig: Signature, fuel: list) -> Term:
             tyenv[binder.binder] = node.ty_arg
         binder = binder.body
     term = _subst(body, env, tyenv)
+    if (memo := getattr(nodes[n - 1], "_type_memo", None)) and _quantifier_free(memo[1]):
+        object.__setattr__(term, "_type_memo", memo)  # the contractum's own type, name for name when ∀-free
     for node in nodes[n:]:
         term = App(term, node.arg) if isinstance(node, App) else TyApp(term, node.ty_arg)
     return term

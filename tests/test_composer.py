@@ -35,6 +35,7 @@ from polysem.inductives import InductiveRule, register_finset, register_nat
 from polysem.kernel import (
     LEFTMOST_OUTERMOST,
     RIGHTMOST_INNERMOST,
+    copy_term,
     match_type,
     normalize,
     reduce_once,
@@ -56,6 +57,7 @@ from polysem.syntax import (
     canon_term,
     entity_sort,
     etype,
+    free_tyvars_in_term,
     free_vars,
     fresh_name,
     parse_term,
@@ -756,13 +758,31 @@ def _arith_terms(count):
     return [api.expand_definitions(parse_term(item.text, sig), sig) for item in w.items[:count]], sig
 
 
+_POLY_ID = "(tlam b (lam (x b) x))"
+
+# Redexes typed with a ∀ that their contractum's own type names otherwise (∀a
+# against the identity's ∀b): a run, whose contractum keeps no ∀ type, and a
+# recursion at that type, whose recursive calls keep it, being typed as their
+# redex is, name for name
+POLYMORPHIC_CONTRACTA = [
+    f"(app (app (lam (f (all a (-> a a))) (lam (z e:nat) f)) {_POLY_ID}) Zero)",
+    f"(app (app (app (tapp RecN (all a (-> a a))) {_POLY_ID}) (lam (k e:nat) (lam (g (all c (-> c c))) g)))"
+    f" {_numeral(2)})",
+]
+
+
 def _rule_corpus(name):
     if name == "recursor":
         sig = _recursor_signature()
         return [parse_term(text, sig) for text in RECURSOR_CORPUS.values()], sig
-    if name == "random":
+    if name == "polymorphic":
+        sig = _recursor_signature()
+        return [parse_term(text, sig) for text in POLYMORPHIC_CONTRACTA], sig
+    if name in ("random", "runs"):
         base = register_finset(register_nat(builtin_signature()))
         base = base.extend(sorts=[entity_sort(s) for s in ("dog", "phys", "book")])
+        if name == "runs":
+            return generate_corpus(base, seed=4242, count=300, use_inductives=True, runs=True)
         return generate_corpus(base, seed=4242, count=1000, use_inductives=True)
     return _arith_terms(200)
 
@@ -909,6 +929,61 @@ def test_batched_run_edges(text, normal, batched, monkeypatch):
     term = parse_term(text, sig)
     assert _batched([term], sig, monkeypatch) == batched
     assert print_term(normalize(_typed_fresh(term, sig), sig).term) == normal
+
+
+def _stored_types(monkeypatch) -> list:
+    """The (node, memo) pairs the kernel stores as a `_type_memo` from now on,
+    filled in as it stores them."""
+    stored = []
+
+    class Recorder:  # stands for `object` in the kernel module, whose stored facts it sees
+        @staticmethod
+        def __setattr__(node, name, value):
+            if name == "_type_memo":
+                stored.append((node, value))
+            object.__setattr__(node, name, value)
+
+    monkeypatch.setattr(kernel, "object", Recorder, raising=False)
+    return stored
+
+
+@pytest.mark.parametrize("corpus", ["recursor", "runs", "arith", "polymorphic"])
+def test_stored_contractum_types_are_the_ones_typecheck_gives(corpus, monkeypatch):
+    # a type normalize stores on a contractum (a step rule's recursive call, a
+    # run's contractum, the normal form) is stored on a closed node, and a
+    # fresh copy of that node typechecks to it, name for name
+    terms, sig = _rule_corpus(corpus)
+    typed = [(strategy, _typed_fresh(term, sig)) for strategy in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST)
+             for term in terms]
+    stored = _stored_types(monkeypatch)
+    for strategy, term in typed:
+        normalize(term, sig, strategy=strategy)
+    monkeypatch.undo()  # the checks' own typecheck stores nothing more
+    assert stored
+    for node, (memo_sig, ty) in stored:
+        assert free_vars(node) == frozenset() and free_tyvars_in_term(node) == frozenset(), print_term(node)
+        assert print_type(typecheck(copy_term(node), memo_sig)) == print_type(ty), print_term(node)
+
+
+def test_arith_runs_each_step_function_on_its_recursive_call(monkeypatch):
+    # a step rule's recursive call keeps its closed redex's type, so the step
+    # function meets two closed arguments and contracts both binders in one
+    # run: over the first 40 arith items normalize calls reduce_once at most 8
+    # times per item (about 35 when only the redex was typed), and it makes as
+    # many contractions as the stepper
+    terms, sig = _arith_terms(40)
+    stepper = 0
+    for term in terms:
+        while (term := reduce_once(term, sig)) is not None:
+            stepper += 1
+    calls, step = [], kernel.reduce_once
+    monkeypatch.setattr(kernel, "reduce_once", lambda *args: calls.append(1) or step(*args))
+    steps = 0
+    for term in terms:
+        typecheck(term, sig)
+        steps += normalize(term, sig).steps
+    assert steps == stepper
+    assert len(calls) <= 8 * len(terms), len(calls) / len(terms)
 
 
 @pytest.mark.parametrize("text", [
